@@ -11,7 +11,8 @@
 * ``HYG003`` - mutable default arguments (a shared list/dict/set
   default aliases state across calls; the classic Python trap).
 * ``HYG004`` - un-gated metrics work inside the ranking hot path.
-  Inside ``search_cs``/``rank_rows``/``rank_cs_batch``, every
+  Inside ``search_cs``/``rank_rows``/``rank_cs_batch`` and the ranking
+  kernel's helpers (:data:`HOT_FUNCTIONS`), every
   ``.inc(...)``/``.observe(...)``/``.set_gauge(...)`` call must sit
   under an ``if <registry>.enabled:`` guard so the disabled cost stays
   one branch (the PR 2 overhead bound depends on it).
@@ -56,8 +57,19 @@ BROAD_EXCEPT_BOUNDARIES = (
     "repro.__main__",
 )
 
-#: Function names treated as the ranking hot path for ``HYG004``.
-HOT_FUNCTIONS = {"search_cs", "rank_rows", "rank_cs_batch"}
+#: Function names treated as the ranking hot path for ``HYG004``: the
+#: two algorithms, the batch driver, and the helpers of the vectorized
+#: ``rank_rows`` kernel (:mod:`repro.query.rank`).
+HOT_FUNCTIONS = {
+    "search_cs",
+    "rank_rows",
+    "rank_cs_batch",
+    "_score_matches",
+    "_combine_each_row",
+    "_tie_cut",
+    "_build_ranked",
+    "_decode_mask",
+}
 
 #: Metric-recording method names that must be gated on the hot path.
 _METRIC_METHODS = {"inc", "observe", "set_gauge"}

@@ -13,7 +13,7 @@ sequential scan otherwise. Rows are addressed by **stable row ids** -
 their insertion positions - which ``select_ids`` exposes so ranking
 code can deduplicate tuples without relying on object identity.
 Mutations bump a version counter and notify registered listeners,
-which is how result caches learn to drop stale rankings.
+which is how query caches learn to drop stale entries.
 
 **Thread safety.** The relation is guarded by one
 :class:`~repro.concurrency.RWLock`: selections, projections and joins

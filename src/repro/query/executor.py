@@ -5,8 +5,9 @@ state over the profile tree (``Search_CS``), turn the winning
 preferences into selections over the relation (``Rank_CS``), combine
 duplicate scores, restrict by the query's ordinary conditions, and
 optionally serve/populate a :class:`~repro.tree.ContextQueryTree`
-result cache keyed by context state. Queries whose context matches no
-preference fall back to a plain, unranked query, as Sec. 4.2 specifies.
+cache of each context state's ``Search_CS`` output. Queries whose
+context matches no preference fall back to a plain, unranked query, as
+Sec. 4.2 specifies.
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ class ContextualQueryExecutor:
         metric: Distance metric for resolution (``"hierarchy"`` or
             ``"jaccard"``).
         combine: Score-combining function for duplicate tuples.
-        cache: Optional context query tree; when present, per-state
-            ranked contributions are cached and reused.
+        cache: Optional context query tree; when present, each
+            state's ``Search_CS`` output - the pair ``(contributions,
+            resolution)`` - is cached and reused. Ranking still runs
+            on every query.
 
     Example:
         >>> executor = ContextualQueryExecutor(tree, relation)
@@ -112,8 +115,8 @@ class ContextualQueryExecutor:
         self._combine = combine
         self._cache = cache
         if cache is not None:
-            # Inserts into the relation invalidate cached results, so a
-            # cache filled before a mutation never serves stale rankings.
+            # Inserts into the relation invalidate the cache, so a
+            # cache filled before a mutation never serves stale entries.
             cache.watch(relation)
 
     @property
@@ -128,7 +131,7 @@ class ContextualQueryExecutor:
 
     @property
     def cache(self) -> ContextQueryTree | None:
-        """The result cache, if configured."""
+        """The ``Search_CS`` output cache, if configured."""
         return self._cache
 
     def execute(
@@ -233,12 +236,15 @@ class ContextualQueryExecutor:
             plain.cache_misses = cache_misses
             return plain
 
+        # Without base clauses the tie cut is pushed into the kernel,
+        # which then builds provenance only for the rows it returns.
         ranked = rank_rows(
             self._relation,
             list(contributions),
             self._combine,
             counter,
             use_index=use_index,
+            top_k=None if query.base_clauses else query.top_k,
         )
         if query.base_clauses:
             ranked = [
@@ -253,7 +259,7 @@ class ContextualQueryExecutor:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
         )
-        if query.top_k is not None:
+        if query.base_clauses and query.top_k is not None:
             result.results = result.top(query.top_k)
         return result
 

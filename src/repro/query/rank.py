@@ -17,6 +17,11 @@ O(|contributions| x |R|):
 * :func:`rank_cs_batch` ranks many descriptors in one pass, memoizing
   ``Search_CS`` resolutions for identical context states and
   evaluating each distinct clause exactly once across the batch.
+
+Combining is set-at-a-time: :func:`rank_rows` scatters the matched
+rows' scores into NumPy vectors, sorts once, applies the top-k tie cut
+on the sorted arrays, and builds :class:`RankedTuple` provenance only
+for the rows it returns.
 """
 
 from __future__ import annotations
@@ -24,12 +29,14 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.context.descriptor import ContextDescriptor, ExtendedContextDescriptor
 from repro.context.state import ContextState
 from repro.db.relation import Relation
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.preferences.combine import combine_max
+from repro.preferences.combine import combine_max, combine_min
 from repro.preferences.preference import AttributeClause
 from repro.resolution.resolver import ContextResolver, Resolution
 from repro.tree.counters import AccessCounter
@@ -46,8 +53,7 @@ __all__ = [
 Row = Mapping[str, object]
 
 #: Shared cache mapping each evaluated clause to its matching row ids.
-ClauseCache = MutableMapping[AttributeClause, list[int]]
-
+ClauseCache = MutableMapping[AttributeClause, np.ndarray]
 
 @dataclass(frozen=True)
 class Contribution:
@@ -79,6 +85,7 @@ def rank_rows(
     counter: AccessCounter | None = None,
     clause_cache: ClauseCache | None = None,
     use_index: bool = True,
+    top_k: int | None = None,
 ) -> list[RankedTuple]:
     """Evaluate expressions over ``relation`` and rank the results.
 
@@ -95,48 +102,181 @@ def rank_rows(
     selection down the sequential-scan path - same rankings, no
     dependence on index builds (the degradation ladder's ``scan``
     level).
+
+    Scoring is set-at-a-time (:func:`_score_matches`); ``top_k`` applies
+    the Table 1 tie rule (every tuple scoring the same as the k-th is
+    kept) before any :class:`RankedTuple` is built, so provenance is
+    assembled only for the tuples returned (:func:`_build_ranked`).
     """
     if clause_cache is None:
         clause_cache = {}
     evaluated = 0
-    per_row: dict[int, list[Contribution]] = {}
     with span("rank_rows"):
+        matches: list[np.ndarray] = []
         for contribution in contributions:
             row_ids = clause_cache.get(contribution.clause)
             if row_ids is None:
-                # Keyword-only (and only when deviating from the
-                # default) so duck-typed relation stand-ins that predate
-                # the switch keep working on the normal path.
-                if use_index:
-                    row_ids = relation.select_ids(contribution.clause, counter)
-                else:
-                    row_ids = relation.select_ids(
-                        contribution.clause, counter, use_index=False
-                    )
+                selected = relation.select_ids(
+                    contribution.clause, counter, use_index=use_index
+                )
+                row_ids = np.fromiter(selected, dtype=np.intp, count=len(selected))
                 clause_cache[contribution.clause] = row_ids
                 evaluated += 1
-            for row_id in row_ids:
-                bucket = per_row.get(row_id)
-                if bucket is None:
-                    bucket = per_row[row_id] = []
-                bucket.append(contribution)
-
-        ranked = [
-            RankedTuple(
-                row=relation[row_id],
-                score=combine(
-                    [contribution.score for contribution in row_contributions]
-                ),
-                contributions=tuple(row_contributions),
-            )
-            for row_id, row_contributions in per_row.items()
-        ]
-        ranked.sort(key=lambda item: -item.score)
+            matches.append(row_ids)
+        # Sized after the selections: the relation is append-only, so
+        # every id they returned is below its current length.
+        keys, scores, masks = _score_matches(
+            len(relation), contributions, matches, combine
+        )
+        order = np.argsort(-scores, kind="stable")
+        ordered = scores[order]
+        cut = _tie_cut(ordered, top_k)
+        ranked = _build_ranked(
+            relation, contributions, keys[order[:cut]], ordered[:cut], masks
+        )
     registry = get_registry()
     if registry.enabled and contributions:
         registry.inc("rank.clause_lookups", len(contributions))
         registry.inc("rank.clause_memo_hits", len(contributions) - evaluated)
     return ranked
+
+
+def _score_matches(
+    size: int,
+    contributions: Sequence[Contribution],
+    matches: Sequence[np.ndarray],
+    combine: Callable[[Sequence[float]], float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Combine every matched row's scores with dense per-relation vectors.
+
+    Returns the matched row ids in first-match order (the order the
+    contributions reach them, which breaks score ties), their combined
+    scores, and a ``(size, words)`` bitmask matrix whose bit ``p`` is
+    set on the rows contribution ``p`` matched.
+
+    ``combine_max``/``combine_min`` scatter with ``np.maximum``/
+    ``np.minimum`` on fancy indexes (one selection never repeats a
+    row). Any other combiner, ``combine_avg`` included, is called once
+    per matched row on its scores in contribution order
+    (:func:`_combine_each_row`).
+
+    The vectors span the whole relation, so the kernel costs O(|R|)
+    per call on top of the matches; it assumes the matched rows are a
+    large share of the relation.
+    """
+    seen = np.zeros(size, dtype=bool)
+    masks = np.zeros((size, (len(contributions) + 63) // 64), dtype=np.uint64)
+    extreme = (
+        np.maximum
+        if combine is combine_max
+        else np.minimum
+        if combine is combine_min
+        else None
+    )
+    if extreme is np.maximum:
+        scores = np.full(size, -np.inf)
+    elif extreme is np.minimum:
+        scores = np.full(size, np.inf)
+    else:
+        scores = np.zeros(size)
+    firsts: list[np.ndarray] = []
+    for position, (contribution, ids) in enumerate(zip(contributions, matches)):
+        if not len(ids):
+            continue
+        fresh = ids[~seen[ids]]
+        if len(fresh):
+            seen[fresh] = True
+            firsts.append(fresh)
+        masks[ids, position >> 6] |= np.uint64(1 << (position & 63))
+        if extreme is not None:
+            scores[ids] = extreme(scores[ids], contribution.score)
+    if not firsts:
+        return np.empty(0, dtype=np.intp), np.empty(0), masks
+    if extreme is None:
+        _combine_each_row(scores, contributions, matches, combine)
+    keys = np.concatenate(firsts)
+    return keys, scores[keys], masks
+
+
+def _combine_each_row(
+    scores: np.ndarray,
+    contributions: Sequence[Contribution],
+    matches: Sequence[np.ndarray],
+    combine: Callable[[Sequence[float]], float],
+) -> None:
+    """Fill ``scores`` for a combiner the kernel cannot vectorize.
+
+    Groups the (row, contribution) matches by row with one stable sort,
+    so each row's scores stay in contribution order, then calls
+    ``combine`` once per matched row.
+    """
+    flat = np.concatenate(matches)
+    owners = np.repeat(np.arange(len(matches)), [len(ids) for ids in matches])
+    by_row = np.argsort(flat, kind="stable")
+    rows = flat[by_row]
+    values = [contributions[owner].score for owner in owners[by_row].tolist()]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+    bounds = zip(starts, starts[1:] + [len(values)])
+    scores[rows[starts]] = [combine(values[start:stop]) for start, stop in bounds]
+
+
+def _tie_cut(ordered: np.ndarray, top_k: int | None) -> int:
+    """How many of the descending ``ordered`` scores the Table 1 rule
+    returns for ``top_k``: the first ``top_k`` plus every later score
+    equal to the k-th (all of them when ``top_k`` is ``None``)."""
+    if top_k is None or len(ordered) <= top_k:
+        return len(ordered)
+    if top_k <= 0:
+        return 0
+    threshold = ordered[top_k - 1]
+    return top_k + int(np.count_nonzero(ordered[top_k:] == threshold))
+
+
+def _build_ranked(
+    relation: Relation,
+    contributions: Sequence[Contribution],
+    row_ids: np.ndarray,
+    scores: np.ndarray,
+    masks: np.ndarray,
+) -> list[RankedTuple]:
+    """The returned rows as :class:`RankedTuple`, with provenance.
+
+    Rows matched by the same set of contributions share one
+    contributions tuple: the bitmasks of the returned rows are
+    deduplicated and each distinct mask decoded once.
+    """
+    if not len(row_ids):
+        return []
+    words = masks.shape[1]
+    picked = np.ascontiguousarray(masks[row_ids])
+    distinct, inverse = np.unique(
+        picked.view(np.dtype((np.void, 8 * words))).ravel(), return_inverse=True
+    )
+    provenance = [
+        _decode_mask(mask, contributions)
+        for mask in distinct.view(np.uint64).reshape(-1, words).tolist()
+    ]
+    return [
+        RankedTuple(row=row, score=score, contributions=provenance[mask])
+        for row, score, mask in zip(
+            relation.rows_by_ids(row_ids.tolist()),
+            scores.tolist(),
+            inverse.ravel().tolist(),
+        )
+    ]
+
+
+def _decode_mask(
+    mask: list[int], contributions: Sequence[Contribution]
+) -> tuple[Contribution, ...]:
+    """The contributions whose bits ``mask`` sets, in contribution order."""
+    picked = []
+    for word, bits in enumerate(mask):
+        while bits:
+            lowest = bits & -bits
+            picked.append(contributions[64 * word + lowest.bit_length() - 1])
+            bits ^= lowest
+    return tuple(picked)
 
 
 def _descriptor_contributions(

@@ -1,14 +1,18 @@
-"""The context query tree: a context-keyed cache of query results.
+"""The context query tree: a context-keyed cache of per-state query work.
 
 The paper introduces (Secs. 1 and 7) a second index "for caching the
 results of queries based on their context"; the section describing it
 was elided from the camera-ready, so we implement the natural design:
 the same trie layout as the profile tree - one level per context
 parameter, one root-to-leaf path per context state - whose leaves hold
-cached, ranked result sets. A capacity bound with least-recently-used
-eviction keeps the cache finite; lookups charge the same cell-access
-counters as the profile tree, making the cache directly comparable in
-the experiments.
+one cached payload per state. The tree does not interpret payloads;
+:class:`~repro.query.ContextualQueryExecutor` stores each state's
+``Search_CS`` output there, the pair ``(contributions, resolution)``,
+and ranks from it on every query. Rankings themselves are not cached
+(``docs/architecture.md`` gives the measurement). A capacity bound
+with least-recently-used eviction keeps the cache finite; lookups
+charge the same cell-access counters as the profile tree, making the
+cache directly comparable in the experiments.
 
 Recency is tracked by insertion order of an ``OrderedDict`` (a hit or
 overwrite moves the state to the back, eviction pops the front), so
@@ -22,11 +26,11 @@ mutates recency) runs under one reentrant lock, so concurrent readers
 and invalidators never corrupt the trie/dict pair. A monotonically
 increasing **generation** counter, bumped by every invalidation,
 closes the compute-then-put race: a caller snapshots ``generation``
-before computing a result against external state (the relation, the
-profile) and passes it to ``put``, which discards the entry if any
-invalidation landed in between - otherwise a ranking computed against
-the pre-mutation relation could be cached *after* the mutation's
-invalidation and served stale forever.
+before computing a payload against external state (the profile, the
+relation) and passes it to ``put``, which discards the entry if any
+invalidation landed in between - otherwise a payload computed against
+the pre-edit profile could be cached *after* the edit's invalidation
+and served stale forever.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ __all__ = ["ContextQueryTree"]
 
 
 class _ResultLeaf:
-    """A cached result set for one context state."""
+    """The cached payload for one context state."""
 
     __slots__ = ("result",)
 
@@ -65,7 +69,10 @@ class _ResultLeaf:
 
 
 class ContextQueryTree:
-    """Cache of contextual-query results, indexed by context state.
+    """Cache of per-state query payloads, indexed by context state.
+
+    The executor's payload is a state's ``Search_CS`` output,
+    ``(contributions, resolution)``; the tree stores any object.
 
     Args:
         environment: The context environment.
@@ -76,8 +83,9 @@ class ContextQueryTree:
 
     Example:
         >>> cache = ContextQueryTree(env, capacity=100)
-        >>> cache.put(state, ranked_results)
-        >>> cache.get(state) is ranked_results
+        >>> payload = (contributions, resolution)
+        >>> cache.put(state, payload)
+        >>> cache.get(state) is payload
         True
     """
 
@@ -238,11 +246,11 @@ class ContextQueryTree:
             self._leaves[state] = leaf
 
     def watch(self, relation: "Relation") -> None:
-        """Drop all cached results whenever ``relation`` is mutated.
+        """Drop all cached payloads whenever ``relation`` is mutated.
 
-        Cached leaves hold ranked result sets computed *against* the
-        relation, so an insert after cache-fill would otherwise keep
-        serving stale rankings. The hook registers an idempotent
+        A conservative hook for payloads computed against the relation:
+        an insert after cache-fill then never serves a payload from
+        before it. The hook registers an idempotent
         mutation listener on the relation (see
         :meth:`repro.db.Relation.add_mutation_listener`); watching the
         same relation twice is a no-op.

@@ -37,9 +37,14 @@ class TestHygieneRules:
 
     def test_ungated_hot_path_metrics_are_flagged(self):
         flagged = [f for f in _findings() if f.rule == "HYG004"]
-        assert len(flagged) == 1
+        assert len(flagged) == 2
         assert flagged[0].function == "rank_rows"
         assert ".inc()" in flagged[0].message
+
+    def test_ungated_metrics_in_the_ranking_kernel_are_flagged(self):
+        flagged = [f for f in _findings() if f.rule == "HYG004"]
+        assert flagged[1].function == "_score_matches"
+        assert ".inc()" in flagged[1].message
 
     def test_gated_hot_path_metrics_pass(self):
         # The registry.observe call under `if registry.enabled:` in the

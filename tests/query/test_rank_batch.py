@@ -112,9 +112,12 @@ class _CountingRelation:
     def __getitem__(self, index):
         return self._relation[index]
 
-    def select_ids(self, clause, counter=None):
+    def __len__(self):
+        return len(self._relation)
+
+    def select_ids(self, clause, counter=None, use_index=True):
         self.select_calls += 1
-        return self._relation.select_ids(clause, counter)
+        return self._relation.select_ids(clause, counter, use_index=use_index)
 
 
 class TestExecutorRankMany:
