@@ -10,15 +10,15 @@ hooks + ladder stays under 5% (paired-ratio methodology, as in
 ``BENCH_chaos.json`` at the repository root (full runs only).
 """
 
-import json
 from pathlib import Path
 
-from repro.eval import format_table, run_chaos, run_chaos_overhead
+from repro.eval import run_chaos, run_chaos_overhead
+from repro.eval.chaos import format_report
 
 CHAOS_REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 
 
-def test_chaos_availability(benchmark, once, smoke):
+def test_chaos_availability(benchmark, once, smoke, record_baseline):
     kwargs = (
         dict(num_users=4, num_rows=200, rounds=3, queries_per_round=15,
              edits_per_round=3, concurrent_batch=8)
@@ -34,35 +34,8 @@ def test_chaos_availability(benchmark, once, smoke):
     )
     report["overhead"] = overhead
     resilient = report["resilient"]
-    baseline = report["baseline"]
-    rows = [
-        ["requests (per mode)", resilient["requests"]],
-        ["resilient availability", f"{resilient['availability']:.2%}"],
-        ["baseline availability", f"{baseline['availability']:.2%}"],
-        *[
-            [f"served @ {level}", count]
-            for level, count in resilient["served_by_level"].items()
-        ],
-        [
-            "latency p50/p99 (ms)",
-            f"{resilient['latency_ms']['p50']:.3f} / "
-            f"{resilient['latency_ms']['p99']:.3f}",
-        ],
-        [
-            "correctness audit",
-            f"{resilient['correctness']['mismatches']} mismatches / "
-            f"{resilient['correctness']['checked']} checked",
-        ],
-        ["healthy-path overhead", f"{overhead['overhead_pct']:+.2f}%"],
-    ]
     print()
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title="Chaos: availability and latency under injected faults",
-        )
-    )
+    print(format_report(report))
 
     assert resilient["correctness"]["mismatches"] == 0, (
         "a degraded answer did not match its fault-free recomputation"
@@ -82,4 +55,4 @@ def test_chaos_availability(benchmark, once, smoke):
             f"resilience layer costs {overhead['overhead_pct']:.2f}% > 5% "
             "on the healthy path"
         )
-        CHAOS_REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    record_baseline(CHAOS_REPORT_PATH, report)

@@ -12,17 +12,17 @@ demonstrably degrades the baseline. Measured numbers are written to
 ``BENCH_chaos_sharded.json`` at the repository root (full runs only).
 """
 
-import json
 from pathlib import Path
 
-from repro.eval import format_table, run_chaos_sharded
+from repro.eval import run_chaos_sharded
+from repro.eval.chaos_sharded import format_report
 
 REPORT_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_chaos_sharded.json"
 )
 
 
-def test_chaos_sharded_availability(benchmark, once, smoke):
+def test_chaos_sharded_availability(benchmark, once, smoke, record_baseline):
     kwargs = (
         dict(num_users=6, num_rows=150, queries_per_round=12,
              edits_per_round=3)
@@ -35,36 +35,8 @@ def test_chaos_sharded_availability(benchmark, once, smoke):
     )
     hardened = report["hardened"]
     baseline = report["baseline"]
-    rows = [
-        ["requests per mode (queries + edits)", hardened["requests"]],
-        ["hardened availability", f"{hardened['availability']:.2%}"],
-        ["baseline availability", f"{baseline['availability']:.2%}"],
-        ["identical rankings", "yes" if hardened["identical_output"] else "NO"],
-        ["lost replies", hardened["lost_replies"]],
-        ["double-served replies", hardened["duplicate_replies"]],
-        [
-            "edits via forward/wal/resync",
-            " / ".join(
-                str(hardened["applied_via"].get(key, 0))
-                for key in ("forward", "wal", "resync")
-            ),
-        ],
-        ["conn failures / reconnects",
-         f"{hardened['router']['conn_failures']} / "
-         f"{hardened['router']['reconnects']}"],
-        ["hedged requests", hardened["router"]["hedged_requests"]],
-        ["worker deaths / drains",
-         f"{hardened['router']['worker_deaths']} / "
-         f"{hardened['router']['drains']}"],
-    ]
     print()
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title="Sharded chaos: network faults vs the hardened router",
-        )
-    )
+    print(format_report(report))
 
     round_names = [row["name"] for row in hardened["rounds"]]
     assert "partition_heal" in round_names and "drain" in round_names
@@ -89,5 +61,4 @@ def test_chaos_sharded_availability(benchmark, once, smoke):
         "the fault schedule did not degrade the un-hardened baseline; "
         "the comparison proves nothing - raise the fault counts"
     )
-    if not smoke:
-        REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    record_baseline(REPORT_PATH, report)

@@ -18,15 +18,15 @@ checks still run, but the throughput assertion is skipped (CI runners
 have unpredictable core counts) and the baseline is left untouched.
 """
 
-import json
 from pathlib import Path
 
-from repro.eval import format_table, run_serve_bench
+from repro.eval import run_serve_bench
+from repro.eval.serving import format_report
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_concurrency.json"
 
 
-def test_concurrent_serving(benchmark, once, smoke):
+def test_concurrent_serving(benchmark, once, smoke, record_baseline):
     if smoke:
         report = once(
             benchmark,
@@ -41,31 +41,9 @@ def test_concurrent_serving(benchmark, once, smoke):
         )
     else:
         report = once(benchmark, run_serve_bench)
-        BASELINE_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    rows: list[list[object]] = [
-        [
-            f"{count} thread{'s' if int(count) != 1 else ''}",
-            f"{series['qps']:.0f} q/s",
-            f"{series['speedup']:.2f}x",
-        ]
-        for count, series in report["series"].items()
-    ]
-    churn = report["churn"]
-    rows.append(
-        [
-            "churn",
-            f"{churn['queries']} q vs {churn['num_writers']} writers",
-            f"{churn['failed_requests']} failed / {churn['lost_updates']} lost",
-        ]
-    )
     print()
-    print(
-        format_table(
-            ["threads", "throughput", "speedup"],
-            rows,
-            title="Concurrent serving - throughput scaling",
-        )
-    )
+    print(format_report(report))
+    churn = report["churn"]
     assert report["identical_output"], "concurrent ranking diverged from sequential"
     assert churn["failed_requests"] == 0, churn["errors"]
     assert churn["lost_updates"] == 0, "writer edits were lost under churn"
@@ -74,3 +52,4 @@ def test_concurrent_serving(benchmark, once, smoke):
             f"throughput at {report['workload']['thread_counts'][-1]} workers "
             f"only {report['speedup_at_max']:.2f}x of 1 worker"
         )
+    record_baseline(BASELINE_PATH, report)

@@ -5,7 +5,7 @@ registry disabled and enabled (best of three each) and bounds the
 layer's cost: enabled must stay within 5% of disabled, and within 5%
 of the checked-in baseline's ``indexed_seconds`` (recorded before the
 layer existed). Measured numbers are written to ``BENCH_obs.json`` at
-the repository root.
+the repository root (full runs only; ``--smoke`` leaves it untouched).
 """
 
 import json
@@ -17,12 +17,11 @@ RANK_BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_rank.json"
 OBS_REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 
-def test_obs_overhead(benchmark, once):
+def test_obs_overhead(benchmark, once, record_baseline):
     baseline = None
     if RANK_BASELINE_PATH.exists():
         baseline = json.loads(RANK_BASELINE_PATH.read_text())["indexed_seconds"]
     report = once(benchmark, run_obs_overhead, baseline_indexed_seconds=baseline)
-    OBS_REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     rows = [
         ["disabled (s)", f"{report['disabled_seconds']:.4f}"],
         ["enabled (s)", f"{report['enabled_seconds']:.4f}"],
@@ -51,3 +50,4 @@ def test_obs_overhead(benchmark, once):
             f"enabled metrics cost {report['enabled_vs_baseline_pct']:.2f}% > 5% "
             "over the checked-in BENCH_rank.json baseline"
         )
+    record_baseline(OBS_REPORT_PATH, report)

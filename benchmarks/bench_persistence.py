@@ -20,10 +20,10 @@ repository root (full runs only; ``--smoke`` shrinks the population to
 CI scale and skips the baseline write).
 """
 
-import json
 from pathlib import Path
 
-from repro.eval import format_table, run_kill_restart, run_paging_bench
+from repro.eval import run_kill_restart, run_paging_bench
+from repro.eval.persistence import format_report
 
 PERSISTENCE_REPORT_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_persistence.json"
@@ -46,30 +46,8 @@ def test_kill_restart_recovery(benchmark, once, smoke):
         }
 
     reports = once(benchmark, run_both)
-    rows = []
-    for backend, report in reports.items():
-        rows += [
-            [f"{backend}: restarts", report["restarts"]],
-            [f"{backend}: torn tails repaired", report["torn_tails_repaired"]],
-            [
-                f"{backend}: edits applied / rejected",
-                f"{report['edits_applied']} / {report['edits_rejected']}",
-            ],
-            [f"{backend}: recovery rate", f"{report['recovery_rate']:.2%}"],
-            [
-                f"{backend}: ranking audit",
-                f"{report['ranking_mismatches']} mismatches / "
-                f"{report['ranking_checks']} checked",
-            ],
-        ]
     print()
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title="Persistence: kill/restart recovery vs never-crashed reference",
-        )
-    )
+    print(format_report(reports))
     for backend, report in reports.items():
         assert report["restarts"] >= 1, f"{backend}: schedule never crashed"
         assert report["recovery_rate"] == 1.0, (
@@ -88,7 +66,7 @@ def test_kill_restart_recovery(benchmark, once, smoke):
 _KILL_RESTART_REPORTS: dict | None = None
 
 
-def test_million_user_paging(benchmark, once, smoke):
+def test_million_user_paging(benchmark, once, smoke, record_baseline):
     kwargs = (
         dict(num_users=20_000, hydrated_budget=32, num_queries=200,
              register_batch=5_000)
@@ -99,38 +77,8 @@ def test_million_user_paging(benchmark, once, smoke):
     report = once(benchmark, run_paging_bench, seed=31, **kwargs)
     paging = report["paging"]
     recovery = report["recovery"]
-    rows = [
-        ["registered users", report["registration"]["users"]],
-        [
-            "registration",
-            f"{report['registration']['seconds']:.1f} s "
-            f"({report['registration']['users_per_second']:.0f} users/s)",
-        ],
-        ["queries", f"{report['queries']['count']} "
-                    f"({report['queries']['qps']:.0f} q/s)"],
-        ["profiles edited", report["queries"]["edits"]],
-        [
-            "peak hydrated / budget",
-            f"{paging['peak_hydrated']} / {paging['hydrated_budget']}",
-        ],
-        ["hydrations / evictions",
-         f"{paging['hydrations']} / {paging['evictions']}"],
-        ["snapshot", f"{report['snapshot']['seconds']:.1f} s "
-                     f"(lsn {report['snapshot']['covered_lsn']})"],
-        [
-            "cold recovery",
-            f"{recovery['seconds']:.1f} s, {recovery['users']} users, "
-            f"{recovery['overrides']} overrides",
-        ],
-    ]
     print()
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title="Persistence: paged users under an LRU hydration budget",
-        )
-    )
+    print(format_report({}, report))
     assert paging["within_budget"], (
         f"peak hydrated {paging['peak_hydrated']} exceeded the budget "
         f"{paging['hydrated_budget']}"
@@ -144,10 +92,7 @@ def test_million_user_paging(benchmark, once, smoke):
     )
     if not smoke:
         assert report["workload"]["num_users"] >= 1_000_000
-        combined = {
-            "kill_restart": _KILL_RESTART_REPORTS,
-            "paging": report,
-        }
-        PERSISTENCE_REPORT_PATH.write_text(
-            json.dumps(combined, indent=2) + "\n"
-        )
+    record_baseline(
+        PERSISTENCE_REPORT_PATH,
+        {"kill_restart": _KILL_RESTART_REPORTS, "paging": report},
+    )

@@ -15,7 +15,6 @@ check still runs, but the wall-clock assertion is skipped and the
 checked-in baseline is left untouched.
 """
 
-import json
 from pathlib import Path
 
 from repro.eval import format_series, format_table, rank_access_sweep, run_rank_hotpath
@@ -24,14 +23,13 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_rank.json"
 SWEEP_SIZES = (1000, 5000, 10000)
 
 
-def test_rank_hotpath_speedup(benchmark, once, smoke):
+def test_rank_hotpath_speedup(benchmark, once, smoke, record_baseline):
     if smoke:
         report = once(
             benchmark, run_rank_hotpath, num_rows=5000, num_queries=10
         )
     else:
         report = once(benchmark, run_rank_hotpath)
-        BASELINE_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print()
     print(
         format_table(
@@ -59,6 +57,7 @@ def test_rank_hotpath_speedup(benchmark, once, smoke):
     assert report["identical_output"], "indexed path changed the ranking"
     if not smoke:
         assert report["speedup"] >= 5.0, f"speedup {report['speedup']:.1f}x < 5x"
+    record_baseline(BASELINE_PATH, report)
 
 
 def test_rank_access_sweep(benchmark, once, smoke):

@@ -18,15 +18,15 @@ the throughput assertion is skipped (CI runners have unpredictable
 core counts) and the baseline is left untouched.
 """
 
-import json
 from pathlib import Path
 
-from repro.eval import format_table, run_shard_bench
+from repro.eval import run_shard_bench
+from repro.eval.sharding import format_report
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_sharded.json"
 
 
-def test_sharded_serving(benchmark, once, smoke):
+def test_sharded_serving(benchmark, once, smoke, record_baseline):
     if smoke:
         report = once(
             benchmark,
@@ -39,33 +39,9 @@ def test_sharded_serving(benchmark, once, smoke):
         )
     else:
         report = once(benchmark, run_shard_bench)
-        BASELINE_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    rows: list[list[object]] = [
-        [
-            f"{count} worker{'s' if int(count) != 1 else ''}",
-            f"{series['qps']:.0f} q/s",
-            f"{series['speedup']:.2f}x",
-        ]
-        for count, series in report["series"].items()
-    ]
-    chaos = report["chaos"]
-    if chaos.get("enabled"):
-        rows.append(
-            [
-                "chaos",
-                f"{chaos['worker_deaths']} killed / "
-                f"{chaos['rebalances']} rebalances",
-                f"{chaos['failed_requests']} failed",
-            ]
-        )
     print()
-    print(
-        format_table(
-            ["workers", "throughput", "speedup"],
-            rows,
-            title="Sharded serving - multi-process scaling",
-        )
-    )
+    print(format_report(report))
+    chaos = report["chaos"]
     assert report["identical_output"], "sharded ranking diverged from single-process"
     assert chaos.get("enabled"), "chaos round did not run"
     assert chaos["worker_deaths"] == 1, "the seeded kill did not fire"
@@ -81,3 +57,4 @@ def test_sharded_serving(benchmark, once, smoke):
             f"throughput at {report['workload']['worker_counts'][-1]} worker "
             f"processes only {report['speedup_at_max']:.2f}x of single-process"
         )
+    record_baseline(BASELINE_PATH, report)

@@ -10,27 +10,13 @@ times 15-45 min; agreements high (70-100%); Jaccard column >= Hierarchy
 column (the paper credits Jaccard's tie-free rankings).
 """
 
-from repro.eval import format_table, run_usability_study
+from repro.eval import run_usability_study
+from repro.eval.usability import format_report
 
 
 def print_table1(study) -> None:
-    headers = ["", *[f"User {row.user_id}" for row in study.rows]]
-    rows = [
-        ["Num of updates", *[row.num_updates for row in study.rows]],
-        ["Update time (mins)", *[row.update_time_minutes for row in study.rows]],
-        ["Exact match", *[f"{row.exact_match_pct:.0f}%" for row in study.rows]],
-        ["1 cover state", *[f"{row.one_cover_pct:.0f}%" for row in study.rows]],
-        [
-            "Hierarchy",
-            *[f"{row.multi_cover_hierarchy_pct:.0f}%" for row in study.rows],
-        ],
-        [
-            "Jaccard",
-            *[f"{row.multi_cover_jaccard_pct:.0f}%" for row in study.rows],
-        ],
-    ]
     print()
-    print(format_table(headers, rows, title="Table 1. User Study Results"))
+    print(format_report(study))
     print(
         f"means: exact={study.mean('exact_match_pct'):.1f}% "
         f"one-cover={study.mean('one_cover_pct'):.1f}% "

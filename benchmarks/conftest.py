@@ -14,6 +14,8 @@ baselines, which are only meaningful on a quiet, known machine.
 
 import pytest
 
+from repro.eval.harness import write_report
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -28,6 +30,22 @@ def pytest_addoption(parser):
 def smoke(request):
     """True when running under ``--smoke`` (CI-scale workloads)."""
     return request.config.getoption("--smoke")
+
+
+@pytest.fixture
+def record_baseline(smoke):
+    """``record(path, report)``: write a ``BENCH_*.json`` baseline.
+
+    Call it after a script's last assert, so a failing run never
+    overwrites the checked-in numbers; under ``--smoke`` it writes
+    nothing.
+    """
+
+    def record(path, report):
+        if not smoke:
+            write_report(path, report)
+
+    return record
 
 
 def run_once(benchmark, function, *args, **kwargs):

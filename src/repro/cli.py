@@ -21,7 +21,8 @@ re-run the sweep at other scales than the paper's.
 from __future__ import annotations
 
 import argparse
-from collections.abc import Sequence
+import json
+from collections.abc import Callable, Sequence
 
 from repro.eval import (
     fig5_real_profile,
@@ -33,11 +34,26 @@ from repro.eval import (
     format_table,
     run_usability_study,
 )
+from repro.eval.harness import write_report
 
 __all__ = ["build_parser", "main"]
 
 _DEFAULT_SIZES = (500, 1000, 5000, 10000)
 _DEFAULT_SKEWS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+
+
+def _add_report_flags(
+    parser: argparse.ArgumentParser, output_style: str | None
+) -> None:
+    """``--json`` and, unless ``output_style`` is None, ``--output``."""
+    parser.add_argument(
+        "--json", action="store_true", help="emit the raw report as JSON"
+    )
+    if output_style is not None:
+        parser.add_argument(
+            "--output", type=str, default=None,
+            help=f"also write the JSON report to this file ({output_style} style)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,9 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--edits-per-writer", type=int, default=10)
     serve.add_argument("--cache-capacity", type=int, default=64)
     serve.add_argument("--seed", type=int, default=17)
-    serve.add_argument(
-        "--json", action="store_true", help="emit the raw report as JSON"
-    )
+    _add_report_flags(serve, output_style=None)
 
     shard = sub.add_parser(
         "shard-bench",
@@ -154,14 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the worker-kill + rebalance round",
     )
-    shard.add_argument(
-        "--json", action="store_true", help="emit the raw report as JSON"
-    )
-    shard.add_argument(
-        "--output", type=str, default=None,
-        help="also write the JSON report to this file "
-        "(BENCH_sharded.json style)",
-    )
+    _add_report_flags(shard, output_style="BENCH_sharded.json")
 
     chaos = sub.add_parser(
         "chaos",
@@ -193,13 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the resilience-disabled comparison run",
     )
-    chaos.add_argument(
-        "--json", action="store_true", help="emit the raw report as JSON"
-    )
-    chaos.add_argument(
-        "--output", type=str, default=None,
-        help="also write the JSON report to this file (BENCH_chaos.json style)",
-    )
+    _add_report_flags(chaos, output_style="BENCH_chaos.json")
 
     persistence = sub.add_parser(
         "persistence",
@@ -224,14 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "users (0 = skip)",
     )
     persistence.add_argument("--paging-queries", type=int, default=2000)
-    persistence.add_argument(
-        "--json", action="store_true", help="emit the raw report as JSON"
-    )
-    persistence.add_argument(
-        "--output", type=str, default=None,
-        help="also write the JSON report to this file "
-        "(BENCH_persistence.json style)",
-    )
+    _add_report_flags(persistence, output_style="BENCH_persistence.json")
 
     analyze = sub.add_parser(
         "analyze",
@@ -269,17 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_table1(args: argparse.Namespace) -> str:
-    study = run_usability_study(num_users=args.users, seed=args.seed)
-    headers = ["", *[f"User {row.user_id}" for row in study.rows]]
-    rows = [
-        ["Num of updates", *[row.num_updates for row in study.rows]],
-        ["Update time (mins)", *[row.update_time_minutes for row in study.rows]],
-        ["Exact match", *[f"{row.exact_match_pct:.0f}%" for row in study.rows]],
-        ["1 cover state", *[f"{row.one_cover_pct:.0f}%" for row in study.rows]],
-        ["Hierarchy", *[f"{row.multi_cover_hierarchy_pct:.0f}%" for row in study.rows]],
-        ["Jaccard", *[f"{row.multi_cover_jaccard_pct:.0f}%" for row in study.rows]],
-    ]
-    return format_table(headers, rows, title="Table 1. User Study Results")
+    from repro.eval.usability import format_report
+
+    return format_report(run_usability_study(num_users=args.users, seed=args.seed))
 
 
 def _run_fig5(args: argparse.Namespace) -> str:
@@ -359,7 +345,7 @@ def _run_report(args: argparse.Namespace) -> str:
 
 
 def _run_stats(args: argparse.Namespace) -> str:
-    from repro.eval.observability import run_scripted_workload
+    from repro.eval.observability import format_report, run_scripted_workload
 
     report = run_scripted_workload(
         num_users=args.users,
@@ -369,46 +355,19 @@ def _run_stats(args: argparse.Namespace) -> str:
         seed=args.seed,
     )
     if args.format == "json":
-        import json
-
         return json.dumps(
             {"workload": report["workload"], "snapshot": report["snapshot"]}, indent=2
         )
     if args.format == "prometheus":
         return str(report["prometheus"]).rstrip("\n")
-    summary = report["summary"]
-    rows: list[list[object]] = [
-        ["queries executed", int(summary["queries"])],
-        ["plain fallbacks", int(summary["plain_fallbacks"])],
-        ["states resolved", int(summary["states_resolved"])],
-        ["cache hits", int(summary["cache_hits"])],
-        ["cache misses", int(summary["cache_misses"])],
-        ["cache hit rate", f"{summary['cache_hit_rate']:.2%}"],
-        ["cache evictions", int(summary["cache_evictions"])],
-        ["cache invalidations", int(summary["cache_invalidations"])],
-        ["selections (indexed)", int(summary["selections_indexed"])],
-        ["selections (scan)", int(summary["selections_scan"])],
-        ["relation listeners", report["relation_listeners"]],
-    ]
-    for stage, latency in sorted(summary["stages"].items()):
-        rows.append(
-            [
-                f"{stage} p50/p95 (ms)",
-                f"{latency['p50'] * 1000:.3f} / {latency['p95'] * 1000:.3f}",
-            ]
-        )
-    return format_table(
-        ["metric", "value"],
-        rows,
-        title=(
-            f"Serving-path observability - {args.users} users, "
-            f"{args.queries} queries, {args.rows} rows"
-        ),
-    )
+    return format_report(report)
 
 
-def _run_serve_bench(args: argparse.Namespace) -> str:
-    from repro.eval.serving import run_serve_bench
+_Report = tuple[dict, Callable[[dict], str]]
+
+
+def _serve_bench(args: argparse.Namespace) -> _Report:
+    from repro.eval.serving import format_report, run_serve_bench
 
     report = run_serve_bench(
         num_users=args.users,
@@ -421,43 +380,11 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         cache_capacity=args.cache_capacity,
         seed=args.seed,
     )
-    if args.json:
-        import json
-
-        return json.dumps(report, indent=2)
-    rows: list[list[object]] = [
-        [
-            f"{count} thread{'s' if int(count) != 1 else ''}",
-            f"{series['qps']:.0f} q/s",
-            f"{series['speedup']:.2f}x",
-        ]
-        for count, series in report["series"].items()
-    ]
-    churn = report["churn"]
-    rows.extend(
-        [
-            ["identical output", "yes" if report["identical_output"] else "NO"],
-            [
-                "churn phase",
-                f"{churn['queries']} queries vs {churn['num_writers']} writers",
-                f"{churn['failed_requests']} failed / {churn['lost_updates']} lost",
-            ],
-        ]
-    )
-    workload = report["workload"]
-    return format_table(
-        ["threads", "throughput", "speedup"],
-        rows,
-        title=(
-            f"Concurrent serving - {workload['num_users']} users, "
-            f"{workload['num_rows']} rows, {workload['num_queries']} queries, "
-            f"io_wait {workload['io_wait_ms']:.1f} ms"
-        ),
-    )
+    return report, format_report
 
 
-def _run_shard_bench(args: argparse.Namespace) -> str:
-    from repro.eval.sharding import run_shard_bench
+def _shard_bench(args: argparse.Namespace) -> _Report:
+    from repro.eval.sharding import format_report, run_shard_bench
 
     report = run_shard_bench(
         num_users=args.users,
@@ -470,57 +397,25 @@ def _run_shard_bench(args: argparse.Namespace) -> str:
         seed=args.seed,
         chaos=not args.no_chaos,
     )
-    if args.output:
-        import json
-        from pathlib import Path
-
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        import json
-
-        return json.dumps(report, indent=2)
-    rows: list[list[object]] = [
-        [
-            f"{count} worker{'s' if int(count) != 1 else ''}",
-            f"{series['qps']:.0f} q/s",
-            f"{series['speedup']:.2f}x",
-        ]
-        for count, series in report["series"].items()
-    ]
-    rows.append(
-        ["identical output", "yes" if report["identical_output"] else "NO", ""]
-    )
-    chaos = report["chaos"]
-    if chaos.get("enabled"):
-        rows.append(
-            [
-                "chaos round",
-                f"{chaos['worker_deaths']} killed / "
-                f"{chaos['rebalances']} rebalances",
-                "identical"
-                if chaos["identical_after_rebalance"]
-                else "DIVERGED",
-            ]
-        )
-    workload = report["workload"]
-    return format_table(
-        ["workers", "throughput", "speedup"],
-        rows,
-        title=(
-            f"Sharded serving - {workload['num_users']} users, "
-            f"{workload['num_rows']} rows, {workload['num_queries']} queries, "
-            f"io_wait {workload['io_wait_ms']:.1f} ms"
-        ),
-    )
+    return report, format_report
 
 
-def _run_chaos(args: argparse.Namespace) -> str:
-    import json
-
-    from repro.eval.chaos import run_chaos
-
+def _chaos(args: argparse.Namespace) -> _Report:
     if args.sharded:
-        return _run_chaos_sharded(args)
+        from repro.eval import chaos_sharded
+
+        report = chaos_sharded.run_chaos_sharded(
+            num_users=args.users,
+            num_rows=args.rows,
+            num_workers=args.workers,
+            queries_per_round=args.queries_per_round,
+            edits_per_round=args.edits_per_round,
+            seed=args.seed,
+            with_baseline=not args.no_baseline,
+        )
+        return report, chaos_sharded.format_report
+    from repro.eval.chaos import format_report, run_chaos
+
     report = run_chaos(
         num_users=args.users,
         num_rows=args.rows,
@@ -532,125 +427,15 @@ def _run_chaos(args: argparse.Namespace) -> str:
         seed=args.seed,
         with_baseline=not args.no_baseline,
     )
-    if args.output:
-        from pathlib import Path
+    return report, format_report
 
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        return json.dumps(report, indent=2)
-    resilient = report["resilient"]
-    rows: list[list[object]] = [
-        ["requests", resilient["requests"]],
-        ["availability", f"{resilient['availability']:.2%}"],
-    ]
-    for level, count in resilient["served_by_level"].items():
-        rows.append([f"served @ {level}", count])
-    failures = resilient["failures"]
-    rows += [
-        ["failures", sum(failures.values())],
-        [
-            "latency p50/p99 (ms)",
-            f"{resilient['latency_ms']['p50']:.3f} / "
-            f"{resilient['latency_ms']['p99']:.3f}",
-        ],
-        [
-            "correctness audit",
-            f"{resilient['correctness']['mismatches']} mismatches / "
-            f"{resilient['correctness']['checked']} checked",
-        ],
-        ["edits applied / rejected",
-         f"{resilient['edits_applied']} / {resilient['edit_failures']}"],
-    ]
-    baseline = report.get("baseline")
-    if baseline is not None:
-        rows += [
-            ["baseline availability", f"{baseline['availability']:.2%}"],
-            [
-                "baseline demonstrably fails",
-                "yes" if report["baseline_demonstrably_fails"] else "NO",
-            ],
-        ]
-    workload = report["workload"]
-    return format_table(
-        ["metric", "value"],
-        rows,
-        title=(
-            f"Chaos run - {workload['rounds']} rounds, seed "
-            f"{workload['seed']}, {workload['num_users']} users, "
-            f"{workload['num_rows']} rows"
-        ),
+
+def _persistence(args: argparse.Namespace) -> _Report:
+    from repro.eval.persistence import (
+        format_report,
+        run_kill_restart,
+        run_paging_bench,
     )
-
-
-def _run_chaos_sharded(args: argparse.Namespace) -> str:
-    import json
-
-    from repro.eval.chaos_sharded import run_chaos_sharded
-
-    report = run_chaos_sharded(
-        num_users=args.users,
-        num_rows=args.rows,
-        num_workers=args.workers,
-        queries_per_round=args.queries_per_round,
-        edits_per_round=args.edits_per_round,
-        seed=args.seed,
-        with_baseline=not args.no_baseline,
-    )
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        return json.dumps(report, indent=2)
-    hardened = report["hardened"]
-    rows: list[list[object]] = [
-        ["requests (queries + edits)", hardened["requests"]],
-        ["availability", f"{hardened['availability']:.2%}"],
-        ["identical rankings", "yes" if hardened["identical_output"] else "NO"],
-        ["lost replies", hardened["lost_replies"]],
-        ["double-served replies", hardened["duplicate_replies"]],
-        ["dedup-served replies", hardened["dedup_replies"]],
-        [
-            "edits via (forward/wal/resync)",
-            " / ".join(
-                str(hardened["applied_via"].get(key, 0))
-                for key in ("forward", "wal", "resync")
-            ),
-        ],
-    ]
-    for key in (
-        "conn_failures",
-        "reconnects",
-        "hedged_requests",
-        "worker_deaths",
-        "rebalances",
-        "drains",
-    ):
-        rows.append([key.replace("_", " "), hardened["router"][key]])
-    baseline = report.get("baseline")
-    if baseline is not None:
-        rows += [
-            ["baseline availability", f"{baseline['availability']:.2%}"],
-            [
-                "availability delta",
-                f"{report['availability_delta']:+.2%}",
-            ],
-        ]
-    workload = report["workload"]
-    return format_table(
-        ["metric", "value"],
-        rows,
-        title=(
-            f"Sharded chaos - {len(workload['rounds'])} rounds, "
-            f"{workload['num_workers']} workers, seed {workload['seed']}"
-        ),
-    )
-
-
-def _run_persistence(args: argparse.Namespace) -> str:
-    import json
-
-    from repro.eval.persistence import run_kill_restart, run_paging_bench
 
     report: dict[str, object] = {
         "kill_restart": run_kill_restart(
@@ -672,51 +457,13 @@ def _run_persistence(args: argparse.Namespace) -> str:
             backend=args.backend,
             seed=args.seed,
         )
-    if args.output:
-        from pathlib import Path
 
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        return json.dumps(report, indent=2)
-    kill = report["kill_restart"]
-    rows: list[list[object]] = [
-        ["restarts", kill["restarts"]],
-        ["torn tails repaired", kill["torn_tails_repaired"]],
-        ["edits applied / rejected",
-         f"{kill['edits_applied']} / {kill['edits_rejected']}"],
-        ["recovery rate", f"{kill['recovery_rate']:.2%}"],
-        [
-            "ranking audit",
-            f"{kill['ranking_mismatches']} mismatches / "
-            f"{kill['ranking_checks']} checked",
-        ],
-        [
-            "identical after recovery",
-            "yes" if kill["identical_after_recovery"] else "NO",
-        ],
-    ]
-    paging = report.get("paging")
-    if paging is not None:
-        rows += [
-            ["registered users", paging["registration"]["users"]],
-            [
-                "peak hydrated / budget",
-                f"{paging['paging']['peak_hydrated']} / "
-                f"{paging['paging']['hydrated_budget']}",
-            ],
-            ["recovery complete",
-             "yes" if paging.get("recovery", {}).get("complete") else "NO"],
-        ]
-    workload = kill["workload"]
-    return format_table(
-        ["metric", "value"],
-        rows,
-        title=(
-            f"Persistence run - {workload['rounds']} rounds, "
-            f"{workload['backend']} backend, seed {workload['seed']}, "
-            f"{workload['num_users']} users"
-        ),
-    )
+    def render(report: dict) -> str:
+        return format_report(
+            {args.backend: report["kill_restart"]}, report.get("paging")
+        )
+
+    return report, render
 
 
 _RUNNERS = {
@@ -726,10 +473,15 @@ _RUNNERS = {
     "fig7": _run_fig7,
     "report": _run_report,
     "stats": _run_stats,
-    "serve-bench": _run_serve_bench,
-    "shard-bench": _run_shard_bench,
-    "chaos": _run_chaos,
-    "persistence": _run_persistence,
+}
+
+#: Commands whose driver returns a JSON-ready report: ``--json`` prints
+#: it raw, ``--output`` (where the command has it) also writes it.
+_REPORTS = {
+    "serve-bench": _serve_bench,
+    "shard-bench": _shard_bench,
+    "chaos": _chaos,
+    "persistence": _persistence,
 }
 
 
@@ -750,5 +502,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             Path(args.output).write_text(rendered + "\n", encoding="utf-8")
         print(rendered)
         return 0 if report.ok else 1
+    if args.command in _REPORTS:
+        report, render = _REPORTS[args.command](args)
+        if getattr(args, "output", None):
+            write_report(args.output, report)
+        print(json.dumps(report, indent=2) if args.json else render(report))
+        return 0
     print(_RUNNERS[args.command](args))
     return 0

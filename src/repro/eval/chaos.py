@@ -29,24 +29,32 @@ Two experiment drivers back the ``repro chaos`` CLI subcommand and
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
-from repro.context.state import ContextState
-from repro.db.poi import generate_poi_relation
+from repro.eval.harness import (
+    STRESS_POOL,
+    TOP_K,
+    build_service,
+    percentile,
+    registry_scope,
+    state_pool,
+)
+from repro.eval.reporting import format_table
 from repro.exceptions import (
     ReproError,
     RequestTimeout,
     ServiceUnavailable,
 )
 from repro.faults.registry import FaultSpec, fault_plan
-from repro.obs.metrics import get_registry
 from repro.query.contextual_query import ContextualQuery
 from repro.query.resilient import generalize_state
 from repro.resilience import ResiliencePolicies
 from repro.service.personalization import PersonalizationService
-from repro.workloads.users import all_personas, study_environment
+from repro.sharding.worker import ranking_pairs
+from repro.workloads.users import study_environment
 
-__all__ = ["chaos_schedule", "run_chaos", "run_chaos_overhead"]
+__all__ = ["chaos_schedule", "format_report", "run_chaos", "run_chaos_overhead"]
 
 #: Sites the default schedule draws from, with the fault kinds that
 #: make sense there. ``executor.submit`` error faults are excluded on
@@ -62,10 +70,6 @@ _SCHEDULE_SITES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("executor.request", ("latency",)),
     ("service.edit", ("error",)),
 )
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia")
 
 #: Degradation levels whose rankings must equal the fault-free full
 #: path (they change evaluation strategy, not semantics).
@@ -103,60 +107,6 @@ def chaos_schedule(seed: int = 23, rounds: int = 5) -> list[list[FaultSpec]]:
     return schedule
 
 
-def _chaos_states(environment) -> list[ContextState]:
-    """The stress-test's 12-state query pool."""
-    return [
-        ContextState.from_mapping(
-            environment,
-            {
-                "accompanying_people": people,
-                "temperature": temperature,
-                "location": location,
-            },
-        )
-        for people in _POOL_PEOPLE
-        for temperature in _POOL_TEMPERATURES
-        for location in _POOL_LOCATIONS
-    ]
-
-
-def _signature(result) -> tuple:
-    """Order-sensitive ranking fingerprint, stable across row objects."""
-    return tuple(
-        (item.row.get("pid", id(item.row)), round(item.score, 12))
-        for item in result.results
-    )
-
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def _build_service(
-    num_users: int,
-    num_rows: int,
-    seed: int,
-    resilient: bool,
-) -> tuple[PersonalizationService, list[str]]:
-    environment = study_environment()
-    relation = generate_poi_relation(num_rows, seed=seed)
-    service = PersonalizationService(
-        environment,
-        relation,
-        cache_capacity=32,
-        resilience=ResiliencePolicies() if resilient else None,
-    )
-    personas = all_personas()
-    user_ids = [f"user{index}" for index in range(num_users)]
-    for index, user_id in enumerate(user_ids):
-        service.register(user_id, personas[index % len(personas)])
-    return service, user_ids
-
-
 def _merge_fired(total: dict[str, dict[str, int]], fired: dict) -> None:
     for site, kinds in fired.items():
         bucket = total.setdefault(site, {})
@@ -192,10 +142,17 @@ def _run_mode(
     ``seed``, so the resilient and baseline runs face identical
     workloads and identical per-site fault sequences.
     """
-    service, user_ids = _build_service(num_users, num_rows, seed, resilient)
+    service = build_service(
+        num_users,
+        num_rows,
+        seed,
+        cache_capacity=32,
+        resilience=ResiliencePolicies() if resilient else None,
+    )
+    user_ids = [f"user{index}" for index in range(num_users)]
     pool = [
-        ContextualQuery.at_state(state, top_k=10)
-        for state in _chaos_states(service.environment)
+        ContextualQuery.at_state(state, top_k=TOP_K)
+        for state in state_pool(service.environment, STRESS_POOL)
     ]
     rng = random.Random(f"chaos-requests:{seed}")
     schedule = chaos_schedule(seed=seed, rounds=rounds)
@@ -212,7 +169,7 @@ def _run_mode(
     mismatches = 0
 
     for round_index, specs in enumerate(schedule):
-        verifiable: list[tuple[str, ContextualQuery, str, tuple]] = []
+        verifiable: list[tuple[str, ContextualQuery, str, list]] = []
         with fault_plan(specs, seed=seed * 1000 + round_index) as faults:
             # Profile churn first: edits either land atomically or are
             # rejected fail-fast by an injected ``service.edit`` fault.
@@ -248,7 +205,7 @@ def _run_mode(
                     level = result.degradation
                     served[level] = served.get(level, 0) + 1
                     verifiable.append(
-                        (user_id, query, level, _signature(result))
+                        (user_id, query, level, ranking_pairs(result))
                     )
 
             # Concurrent phase: the same faults under a thread pool
@@ -285,7 +242,7 @@ def _run_mode(
                 )
             else:
                 expected_query = query
-            expected = _signature(service.query(user_id, expected_query))
+            expected = ranking_pairs(service.query(user_id, expected_query))
             if level in _EXACT_LEVELS or level == "generalized":
                 if signature != expected:
                     mismatches += 1
@@ -299,8 +256,8 @@ def _run_mode(
         "edits_applied": edits_applied,
         "edit_failures": edit_failures,
         "latency_ms": {
-            "p50": _percentile(latencies, 0.50) * 1000.0,
-            "p99": _percentile(latencies, 0.99) * 1000.0,
+            "p50": percentile(latencies, 0.50) * 1000.0,
+            "p99": percentile(latencies, 0.99) * 1000.0,
             "max": max(latencies, default=0.0) * 1000.0,
         },
         "faults_fired": dict(sorted(fired_total.items())),
@@ -329,52 +286,24 @@ def run_chaos(
     correctness audit. ``baseline_demonstrably_fails`` is True when the
     unprotected run failed requests the resilient run served.
     """
-    registry = get_registry()
-    was_enabled = registry.enabled
-    registry.reset()
-    registry.enable()
-    try:
-        resilient = _run_mode(
-            True,
-            num_users,
-            num_rows,
-            rounds,
-            queries_per_round,
-            edits_per_round,
-            concurrent_batch,
-            max_workers,
-            seed,
-        )
-        baseline: dict[str, object] | None = None
-        if with_baseline:
-            baseline = _run_mode(
-                False,
-                num_users,
-                num_rows,
-                rounds,
-                queries_per_round,
-                edits_per_round,
-                concurrent_batch,
-                max_workers,
-                seed,
-            )
+    workload = {
+        "num_users": num_users,
+        "num_rows": num_rows,
+        "rounds": rounds,
+        "queries_per_round": queries_per_round,
+        "edits_per_round": edits_per_round,
+        "concurrent_batch": concurrent_batch,
+        "max_workers": max_workers,
+        "seed": seed,
+    }
+    with registry_scope() as registry:
+        resilient = _run_mode(True, **workload)
+        baseline = _run_mode(False, **workload) if with_baseline else None
         snapshot = registry.snapshot()
-    finally:
-        if not was_enabled:
-            registry.disable()
 
     schedule = chaos_schedule(seed=seed, rounds=rounds)
     report: dict[str, object] = {
-        "workload": {
-            "num_users": num_users,
-            "num_rows": num_rows,
-            "rounds": rounds,
-            "queries_per_round": queries_per_round,
-            "edits_per_round": edits_per_round,
-            "concurrent_batch": concurrent_batch,
-            "max_workers": max_workers,
-            "seed": seed,
-        },
+        "workload": workload,
         "schedule": [
             [
                 {
@@ -427,33 +356,32 @@ def run_chaos_overhead(
     full resolution + ranking - the worst case for relative overhead.
     """
     environment = study_environment()
-    relation = generate_poi_relation(num_rows, seed=seed)
-    personas = all_personas()
-    user_ids = [f"user{index}" for index in range(num_users)]
-    services = {}
-    for mode, policies in (
-        ("plain", None),
-        ("resilient", ResiliencePolicies()),
-    ):
-        service = PersonalizationService(
-            environment, relation, cache_capacity=None, resilience=policies
+    services = {
+        mode: build_service(
+            num_users,
+            num_rows,
+            seed,
+            environment,
+            cache_capacity=None,
+            resilience=policies,
         )
-        for index, user_id in enumerate(user_ids):
-            service.register(user_id, personas[index % len(personas)])
-        services[mode] = service
-
+        for mode, policies in (
+            ("plain", None),
+            ("resilient", ResiliencePolicies()),
+        )
+    }
     pool = [
-        ContextualQuery.at_state(state, top_k=10)
-        for state in _chaos_states(environment)
+        ContextualQuery.at_state(state, top_k=TOP_K)
+        for state in state_pool(environment, STRESS_POOL)
     ]
     requests = [
-        (user_ids[index % len(user_ids)], pool[index % len(pool)])
+        (f"user{index % num_users}", pool[index % len(pool)])
         for index in range(num_queries)
     ]
 
-    def run_once(service: PersonalizationService) -> list[tuple]:
+    def run_once(service: PersonalizationService) -> list[list]:
         return [
-            _signature(service.query(user_id, query))
+            ranking_pairs(service.query(user_id, query))
             for user_id, query in requests
         ]
 
@@ -462,7 +390,7 @@ def run_chaos_overhead(
         run_once(service)
 
     times: dict[str, list[float]] = {"plain": [], "resilient": []}
-    outputs: dict[str, list[tuple] | None] = {"plain": None, "resilient": None}
+    outputs: dict[str, list[list] | None] = {"plain": None, "resilient": None}
     for _ in range(repeats):
         for mode, service in services.items():
             start = time.perf_counter()
@@ -474,14 +402,7 @@ def run_chaos_overhead(
         for plain_time, resilient_time in zip(times["plain"], times["resilient"])
         if plain_time > 0
     ]
-    ratios.sort()
-    middle = len(ratios) // 2
-    if not ratios:
-        overhead_ratio = float("inf")
-    elif len(ratios) % 2:
-        overhead_ratio = ratios[middle]
-    else:
-        overhead_ratio = (ratios[middle - 1] + ratios[middle]) / 2.0
+    overhead_ratio = statistics.median(ratios) if ratios else float("inf")
     return {
         "workload": {
             "num_users": num_users,
@@ -490,9 +411,61 @@ def run_chaos_overhead(
             "seed": seed,
             "repeats": repeats,
         },
-        "plain_seconds": _percentile(times["plain"], 0.5),
-        "resilient_seconds": _percentile(times["resilient"], 0.5),
+        "plain_seconds": percentile(times["plain"], 0.5),
+        "resilient_seconds": percentile(times["resilient"], 0.5),
         "overhead_ratio": overhead_ratio,
         "overhead_pct": (overhead_ratio - 1.0) * 100.0,
         "identical_output": outputs["plain"] == outputs["resilient"],
     }
+
+
+def format_report(report: dict) -> str:
+    """The :func:`run_chaos` report (plus its ``overhead`` entry, when a
+    :func:`run_chaos_overhead` report was attached) as a table."""
+    resilient = report["resilient"]
+    rows: list[list[object]] = [
+        ["requests", resilient["requests"]],
+        ["availability", f"{resilient['availability']:.2%}"],
+    ]
+    for level, count in resilient["served_by_level"].items():
+        rows.append([f"served @ {level}", count])
+    failures = resilient["failures"]
+    rows += [
+        ["failures", sum(failures.values())],
+        [
+            "latency p50/p99 (ms)",
+            f"{resilient['latency_ms']['p50']:.3f} / "
+            f"{resilient['latency_ms']['p99']:.3f}",
+        ],
+        [
+            "correctness audit",
+            f"{resilient['correctness']['mismatches']} mismatches / "
+            f"{resilient['correctness']['checked']} checked",
+        ],
+        ["edits applied / rejected",
+         f"{resilient['edits_applied']} / {resilient['edit_failures']}"],
+    ]
+    baseline = report.get("baseline")
+    if baseline is not None:
+        rows += [
+            ["baseline availability", f"{baseline['availability']:.2%}"],
+            [
+                "baseline demonstrably fails",
+                "yes" if report["baseline_demonstrably_fails"] else "NO",
+            ],
+        ]
+    overhead = report.get("overhead")
+    if overhead is not None:
+        rows.append(
+            ["healthy-path overhead", f"{overhead['overhead_pct']:+.2f}%"]
+        )
+    workload = report["workload"]
+    return format_table(
+        ["metric", "value"],
+        rows,
+        title=(
+            f"Chaos run - {workload['rounds']} rounds, seed "
+            f"{workload['seed']}, {workload['num_users']} users, "
+            f"{workload['num_rows']} rows"
+        ),
+    )

@@ -52,8 +52,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.context.state import ContextState
-from repro.db.poi import generate_poi_relation
-from repro.eval.sharding import _population, _state_pool
+from repro.eval.harness import (
+    TOP_K,
+    build_service,
+    population,
+    replies_match,
+    state_pool,
+)
+from repro.eval.reporting import format_table
 from repro.exceptions import ShardError
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.io.serialize import preference_to_dict
@@ -62,9 +68,7 @@ from repro.sharding.router import ShardRouter
 from repro.sharding.worker import ranking_pairs
 from repro.workloads.users import study_environment
 
-__all__ = ["chaos_sharded_schedule", "run_chaos_sharded"]
-
-_TOP_K = 10
+__all__ = ["chaos_sharded_schedule", "format_report", "run_chaos_sharded"]
 
 
 @dataclass
@@ -113,24 +117,11 @@ def chaos_sharded_schedule() -> list[_Round]:
     ]
 
 
-def _build_twin(
-    num_users: int, num_rows: int, cache_capacity: int | None, seed: int
-) -> PersonalizationService:
-    environment = study_environment()
-    relation = generate_poi_relation(num_rows, seed=seed)
-    twin = PersonalizationService(
-        environment, relation, cache_capacity=cache_capacity
-    )
-    for user_id, persona in _population(num_users):
-        twin.register(user_id, persona)
-    return twin
-
-
 def _round_requests(
     rng: random.Random, pool, num_users: int, count: int
 ) -> list[tuple[str, ContextState, int]]:
     return [
-        (f"user{rng.randrange(num_users)}", rng.choice(pool), _TOP_K)
+        (f"user{rng.randrange(num_users)}", rng.choice(pool), TOP_K)
         for _ in range(count)
     ]
 
@@ -208,9 +199,10 @@ def _run_mode(
     the same edit records (derived from each mode's own twin, which
     evolves identically), the same fault plans with the same seeds.
     """
-    environment = study_environment()
-    pool = _state_pool(environment)
-    twin = _build_twin(num_users, num_rows, cache_capacity, seed)
+    pool = state_pool(study_environment())
+    twin = build_service(
+        num_users, num_rows, seed, cache_capacity=cache_capacity
+    )
     rounds_report: list[dict[str, object]] = []
     total_requests = total_ok = 0
     total_lost = total_double = total_dedup = 0
@@ -233,7 +225,7 @@ def _run_mode(
         )
         try:
             router.start()
-            router.register_many(_population(num_users))
+            router.register_many(population(num_users))
             before = _router_counters(router)
             for number, round_spec in enumerate(chaos_sharded_schedule()):
                 rng = random.Random(f"{seed}:{number}:{round_spec.name}")
@@ -263,7 +255,7 @@ def _run_mode(
                 total_double += row["double_served"]
                 total_dedup += row["dedup_replies"]
                 identical = identical and row["identical"]
-            stats = router.stats()
+            counters = _router_counters(router)
         finally:
             router.close()
     twin.close()
@@ -280,18 +272,7 @@ def _run_mode(
         "duplicate_replies": total_double,
         "dedup_replies": total_dedup,
         "applied_via": applied_via,
-        "router": {
-            key: stats[key]
-            for key in (
-                "worker_deaths",
-                "rebalances",
-                "retried_requests",
-                "hedged_requests",
-                "conn_failures",
-                "reconnects",
-                "drains",
-            )
-        },
+        "router": counters,
     }
 
 
@@ -340,10 +321,7 @@ def _play_round(
     for rid in rids:
         answered[rid] = answered.get(rid, 0) + 1
     double_served = sum(count - 1 for count in answered.values())
-    identical = len(replies) == len(requests) and all(
-        reply.get("ok") and reply.get("ranking") == expected
-        for reply, expected in zip(replies, reference)
-    )
+    identical = replies_match(replies, reference)
     return {
         "name": round_spec.name,
         "faults": [
@@ -388,30 +366,18 @@ def run_chaos_sharded(
     degrade (that contrast is what ``BENCH_chaos_sharded.json``
     records).
     """
-    hardened = _run_mode(
-        True,
-        num_users,
-        num_rows,
-        num_workers,
-        queries_per_round,
-        edits_per_round,
-        cache_capacity,
-        seed,
-        wal_root,
-    )
-    baseline: dict[str, object] | None = None
-    if with_baseline:
-        baseline = _run_mode(
-            False,
-            num_users,
-            num_rows,
-            num_workers,
-            queries_per_round,
-            edits_per_round,
-            cache_capacity,
-            seed,
-            wal_root,
-        )
+    mode = {
+        "num_users": num_users,
+        "num_rows": num_rows,
+        "num_workers": num_workers,
+        "queries_per_round": queries_per_round,
+        "edits_per_round": edits_per_round,
+        "cache_capacity": cache_capacity,
+        "seed": seed,
+        "wal_root": wal_root,
+    }
+    hardened = _run_mode(True, **mode)
+    baseline = _run_mode(False, **mode) if with_baseline else None
     return {
         "workload": {
             "num_users": num_users,
@@ -424,7 +390,7 @@ def run_chaos_sharded(
             "edits_per_round": edits_per_round,
             "cache_capacity": cache_capacity,
             "seed": seed,
-            "top_k": _TOP_K,
+            "top_k": TOP_K,
         },
         "hardened": hardened,
         "baseline": baseline,
@@ -434,3 +400,50 @@ def run_chaos_sharded(
             else hardened["availability"] - baseline["availability"]
         ),
     }
+
+
+def format_report(report: dict) -> str:
+    """The :func:`run_chaos_sharded` report as a table."""
+    hardened = report["hardened"]
+    rows: list[list[object]] = [
+        ["requests (queries + edits)", hardened["requests"]],
+        ["availability", f"{hardened['availability']:.2%}"],
+        ["identical rankings", "yes" if hardened["identical_output"] else "NO"],
+        ["lost replies", hardened["lost_replies"]],
+        ["double-served replies", hardened["duplicate_replies"]],
+        ["dedup-served replies", hardened["dedup_replies"]],
+        [
+            "edits via (forward/wal/resync)",
+            " / ".join(
+                str(hardened["applied_via"].get(key, 0))
+                for key in ("forward", "wal", "resync")
+            ),
+        ],
+    ]
+    for key in (
+        "conn_failures",
+        "reconnects",
+        "hedged_requests",
+        "worker_deaths",
+        "rebalances",
+        "drains",
+    ):
+        rows.append([key.replace("_", " "), hardened["router"][key]])
+    baseline = report.get("baseline")
+    if baseline is not None:
+        rows += [
+            ["baseline availability", f"{baseline['availability']:.2%}"],
+            [
+                "availability delta",
+                f"{report['availability_delta']:+.2%}",
+            ],
+        ]
+    workload = report["workload"]
+    return format_table(
+        ["metric", "value"],
+        rows,
+        title=(
+            f"Sharded chaos - {len(workload['rounds'])} rounds, "
+            f"{workload['num_workers']} workers, seed {workload['seed']}"
+        ),
+    )

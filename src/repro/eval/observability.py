@@ -19,29 +19,30 @@ Two experiment drivers back the ``repro stats`` CLI subcommand and
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
-from repro.db.poi import generate_poi_relation
 from repro.db.relation import Relation
+from repro.eval.harness import TOP_K, build_service, registry_scope, state_pool
 from repro.eval.rank_costs import (
     _bench_profile_and_pool,
     _bench_rows,
     _bench_schema,
     _signature,
 )
-from repro.obs.metrics import get_registry
+from repro.eval.reporting import format_table
 from repro.query.contextual_query import ContextualQuery
 from repro.query.rank import rank_cs_batch
 from repro.resolution.resolver import ContextResolver
-from repro.service.personalization import PersonalizationService
 from repro.tree.profile_tree import ProfileTree
-from repro.workloads.users import all_personas, study_environment
+from repro.workloads.users import all_personas
 
-__all__ = ["run_obs_overhead", "run_scripted_workload", "summarize_snapshot"]
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "hot", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia", "Syntagma")
+__all__ = [
+    "format_report",
+    "run_obs_overhead",
+    "run_scripted_workload",
+    "summarize_snapshot",
+]
 
 
 def summarize_snapshot(snapshot: dict) -> dict[str, object]:
@@ -104,33 +105,20 @@ def run_scripted_workload(
     Returns ``{"workload": ..., "summary": ..., "snapshot": ...,
     "prometheus": ..., "service_statistics": ...}``.
     """
-    registry = get_registry()
-    was_enabled = registry.enabled
-    registry.reset()
-    registry.enable()
-    try:
+    with registry_scope() as registry:
         rng = random.Random(seed)
-        environment = study_environment()
-        relation = generate_poi_relation(num_rows, seed=seed)
-        service = PersonalizationService(
-            environment, relation, cache_capacity=cache_capacity
+        service = build_service(
+            num_users, num_rows, seed, cache_capacity=cache_capacity
         )
         personas = all_personas()
         user_ids = [f"user{index}" for index in range(num_users)]
-        for index, user_id in enumerate(user_ids):
-            service.register(user_id, personas[index % len(personas)])
 
         # A skewed pool of context states: repetition is what makes the
         # per-user caches hit; the pool exceeding the cache capacity is
         # what makes them evict.
         pool = [
-            ContextualQuery.at_state(
-                _state(environment, people, temp, location),
-                top_k=10,
-            )
-            for people in _POOL_PEOPLE
-            for temp in _POOL_TEMPERATURES
-            for location in _POOL_LOCATIONS
+            ContextualQuery.at_state(state, top_k=TOP_K)
+            for state in state_pool(service.environment)
         ]
         for index in range(num_queries):
             user_id = user_ids[index % len(user_ids)]
@@ -173,32 +161,8 @@ def run_scripted_workload(
             "snapshot": snapshot,
             "prometheus": prometheus,
             "service_statistics": service.statistics(),
-            "relation_listeners": relation.mutation_listener_count,
+            "relation_listeners": service.relation.mutation_listener_count,
         }
-    finally:
-        if not was_enabled:
-            registry.disable()
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def _state(environment, people: str, temperature: str, location: str):
-    from repro.context.state import ContextState
-
-    return ContextState.from_mapping(
-        environment,
-        {
-            "accompanying_people": people,
-            "temperature": temperature,
-            "location": location,
-        },
-    )
 
 
 def run_obs_overhead(
@@ -240,11 +204,9 @@ def run_obs_overhead(
     resolver = ContextResolver(ProfileTree.from_profile(profile))
     descriptors = [pool[index % len(pool)] for index in range(num_queries)]
 
-    registry = get_registry()
-    was_enabled = registry.enabled
     times: dict[bool, list[float]] = {False: [], True: []}
     outputs: dict[bool, list | None] = {False: None, True: None}
-    try:
+    with registry_scope() as registry:
         # Warm-up outside the timed runs (index caches, code paths).
         registry.disable()
         rank_cs_batch(resolver, relation, descriptors)
@@ -258,14 +220,9 @@ def run_obs_overhead(
                 run_outputs, _stats = rank_cs_batch(resolver, relation, descriptors)
                 times[enabled].append(time.perf_counter() - start)
                 outputs[enabled] = run_outputs
-    finally:
-        if was_enabled:
-            registry.enable()
-        else:
-            registry.disable()
     disabled_outputs, enabled_outputs = outputs[False], outputs[True]
-    disabled_seconds = _median(times[False])
-    enabled_seconds = _median(times[True])
+    disabled_seconds = statistics.median(times[False])
+    enabled_seconds = statistics.median(times[True])
 
     identical = all(
         _signature(disabled_ranked) == _signature(enabled_ranked)
@@ -278,7 +235,7 @@ def run_obs_overhead(
         for disabled_time, enabled_time in zip(times[False], times[True])
         if disabled_time > 0
     ]
-    overhead_ratio = _median(ratios) if ratios else float("inf")
+    overhead_ratio = statistics.median(ratios) if ratios else float("inf")
     report: dict[str, object] = {
         "workload": {
             "num_rows": num_rows,
@@ -306,3 +263,37 @@ def run_obs_overhead(
             (disabled_seconds / baseline_indexed_seconds) - 1.0
         ) * 100.0
     return report
+
+
+def format_report(report: dict) -> str:
+    """The :func:`run_scripted_workload` headline numbers as a table."""
+    summary = report["summary"]
+    rows: list[list[object]] = [
+        ["queries executed", int(summary["queries"])],
+        ["plain fallbacks", int(summary["plain_fallbacks"])],
+        ["states resolved", int(summary["states_resolved"])],
+        ["cache hits", int(summary["cache_hits"])],
+        ["cache misses", int(summary["cache_misses"])],
+        ["cache hit rate", f"{summary['cache_hit_rate']:.2%}"],
+        ["cache evictions", int(summary["cache_evictions"])],
+        ["cache invalidations", int(summary["cache_invalidations"])],
+        ["selections (indexed)", int(summary["selections_indexed"])],
+        ["selections (scan)", int(summary["selections_scan"])],
+        ["relation listeners", report["relation_listeners"]],
+    ]
+    for stage, latency in sorted(summary["stages"].items()):
+        rows.append(
+            [
+                f"{stage} p50/p95 (ms)",
+                f"{latency['p50'] * 1000:.3f} / {latency['p95'] * 1000:.3f}",
+            ]
+        )
+    workload = report["workload"]
+    return format_table(
+        ["metric", "value"],
+        rows,
+        title=(
+            f"Serving-path observability - {workload['num_users']} users, "
+            f"{workload['num_queries']} queries, {workload['num_rows']} rows"
+        ),
+    )

@@ -33,46 +33,30 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.context.state import ContextState
 from repro.db.poi import generate_poi_relation
+from repro.eval.harness import (
+    STRESS_POOL,
+    TOP_K,
+    build_service,
+    scratch_root,
+    state_pool,
+)
+from repro.eval.reporting import format_table
 from repro.exceptions import ReproError
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.query.contextual_query import ContextualQuery
 from repro.service.personalization import PersonalizationService
+from repro.sharding.worker import ranking_pairs
 from repro.storage import JsonlProfileStore, ProfileStore, SQLiteProfileStore
 from repro.workloads.users import all_personas, study_environment
 from repro.workloads.zipf import ZipfSampler
 
-__all__ = ["kill_restart_schedule", "run_kill_restart", "run_paging_bench"]
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia")
-
-
-def _pool_states(environment) -> list[ContextState]:
-    """The serving pool: the stress tests' 12 context states."""
-    return [
-        ContextState.from_mapping(
-            environment,
-            {
-                "accompanying_people": people,
-                "temperature": temperature,
-                "location": location,
-            },
-        )
-        for people in _POOL_PEOPLE
-        for temperature in _POOL_TEMPERATURES
-        for location in _POOL_LOCATIONS
-    ]
-
-
-def _signature(result) -> tuple:
-    """Order-sensitive ranking fingerprint, stable across row objects."""
-    return tuple(
-        (item.row.get("pid", id(item.row)), round(item.score, 12))
-        for item in result.results
-    )
+__all__ = [
+    "format_report",
+    "kill_restart_schedule",
+    "run_kill_restart",
+    "run_paging_bench",
+]
 
 
 def _open_store(backend: str, root: Path) -> ProfileStore:
@@ -135,207 +119,161 @@ def run_kill_restart(
     required), ``ranking_mismatches`` (recovered vs reference ranking
     fingerprints, 0 required) and ``identical_after_recovery``.
     """
-    import tempfile
+    with scratch_root(root, "repro-killrestart-") as root:
+        environment = study_environment()
+        user_ids = [f"user{index}" for index in range(num_users)]
 
-    cleanup = None
-    if root is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-killrestart-")
-        root = cleanup.name
-    root = Path(root)
-    try:
-        return _run_kill_restart(
-            num_users,
-            num_rows,
-            rounds,
-            edits_per_round,
-            queries_per_round,
-            hydrated_budget,
-            backend,
-            seed,
-            root,
-            torn_writes,
+        def durable_service(
+            store: ProfileStore, registered: int = 0
+        ) -> PersonalizationService:
+            # Fresh relation per incarnation (same seed = same rows, same
+            # rankings); a crashed service's cache listeners die with it.
+            return build_service(
+                registered,
+                num_rows,
+                seed,
+                environment,
+                cache_capacity=8,
+                store=store,
+                hydrated_budget=hydrated_budget,
+            )
+
+        reference = build_service(
+            num_users, num_rows, seed, environment, cache_capacity=8
         )
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
+        store = _open_store(backend, root)
+        durable = durable_service(store, num_users)
 
+        pool = [
+            ContextualQuery.at_state(state, top_k=TOP_K)
+            for state in state_pool(environment, STRESS_POOL)
+        ]
+        rng = random.Random(f"kill-restart-workload:{seed}")
+        schedule = kill_restart_schedule(seed=seed, rounds=rounds)
 
-def _run_kill_restart(
-    num_users: int,
-    num_rows: int,
-    rounds: int,
-    edits_per_round: int,
-    queries_per_round: int,
-    hydrated_budget: int | None,
-    backend: str,
-    seed: int,
-    root: Path,
-    torn_writes: bool,
-) -> dict[str, object]:
-    environment = study_environment()
-    personas = all_personas()
-    user_ids = [f"user{index}" for index in range(num_users)]
+        edits_applied = 0
+        edits_rejected = 0
+        ranking_checks = 0
+        ranking_mismatches = 0
+        restarts = 0
+        torn_tails_repaired = 0
+        round_reports: list[dict[str, object]] = []
 
-    def durable_service(store: ProfileStore) -> PersonalizationService:
-        # Fresh relation per incarnation (same seed = same rows, same
-        # rankings); a crashed service's cache listeners die with it.
-        return PersonalizationService(
-            environment,
-            generate_poi_relation(num_rows, seed=seed),
-            cache_capacity=8,
-            store=store,
-            hydrated_budget=hydrated_budget,
-        )
-
-    reference = PersonalizationService(
-        environment, generate_poi_relation(num_rows, seed=seed), cache_capacity=8
-    )
-    store = _open_store(backend, root)
-    durable = durable_service(store)
-    for index, user_id in enumerate(user_ids):
-        persona = personas[index % len(personas)]
-        reference.register(user_id, persona)
-        durable.register(user_id, persona)
-
-    pool = [
-        ContextualQuery.at_state(state, top_k=10)
-        for state in _pool_states(environment)
-    ]
-    rng = random.Random(f"kill-restart-workload:{seed}")
-    schedule = kill_restart_schedule(seed=seed, rounds=rounds)
-
-    edits_applied = 0
-    edits_rejected = 0
-    ranking_checks = 0
-    ranking_mismatches = 0
-    restarts = 0
-    torn_tails_repaired = 0
-    round_reports: list[dict[str, object]] = []
-
-    for round_index, plan in enumerate(schedule):
-        probability = float(plan["append_fault_probability"])
-        specs = (
-            [FaultSpec(site="storage.append", kind="error",
-                       probability=probability)]
-            if probability > 0.0
-            else []
-        )
-        applied_this_round = 0
-        rejected_this_round = 0
-        with fault_plan(specs, seed=seed * 100 + round_index):
-            for _ in range(edits_per_round):
-                user_id = rng.choice(user_ids)
-                action = rng.choice(("update", "remove_add", "import"))
-                # Each step runs on the durable service first: if its
-                # WAL append fails, that step was rolled back
-                # atomically, so the reference skips exactly that step
-                # (fail-atomicity is part of what recovery equality
-                # then proves). Steps are derived from the reference's
-                # profile - identical to the durable's by induction -
-                # so both services stay in lockstep.
-                for step in _edit_steps(reference, user_id, action):
-                    try:
-                        step(durable)
-                    except ReproError:
-                        rejected_this_round += 1
-                        break
-                    step(reference)
-                    applied_this_round += 1
-            for _ in range(queries_per_round):
-                user_id = rng.choice(user_ids)
-                query = rng.choice(pool)
-                ranking_checks += 1
-                if _signature(durable.query(user_id, query)) != _signature(
-                    reference.query(user_id, query)
-                ):
-                    ranking_mismatches += 1
-        edits_applied += applied_this_round
-        edits_rejected += rejected_this_round
-
-        if plan["snapshot"]:
-            durable.snapshot(compact=True)
-        if plan["kill"]:
-            # Crash: drop the live service without any shutdown, then
-            # bring a new incarnation up from disk alone.
-            durable = None
-            store.flush()  # the OS-level state a real crash leaves
-            if torn_writes and backend == "jsonl":
-                with open(root / "store" / "wal.jsonl", "a",
-                          encoding="utf-8") as handle:
-                    handle.write('{"lsn": 999999, "crc": 1, "data": {"op": "u')
-            store = _open_store(backend, root)
-            if getattr(store, "torn_bytes", 0):
-                torn_tails_repaired += 1
-            durable = durable_service(store)
-            restarts += 1
-            recovered = len(durable)
-            expected = len(reference)
-            mismatch_before = ranking_mismatches
-            for user_id in user_ids:
-                for query in pool:
+        for round_index, plan in enumerate(schedule):
+            probability = float(plan["append_fault_probability"])
+            specs = (
+                [FaultSpec(site="storage.append", kind="error",
+                           probability=probability)]
+                if probability > 0.0
+                else []
+            )
+            applied_this_round = 0
+            rejected_this_round = 0
+            with fault_plan(specs, seed=seed * 100 + round_index):
+                for _ in range(edits_per_round):
+                    user_id = rng.choice(user_ids)
+                    action = rng.choice(("update", "remove_add", "import"))
+                    # Each step runs on the durable service first: if its
+                    # WAL append fails, that step was rolled back
+                    # atomically, so the reference skips exactly that step
+                    # (fail-atomicity is part of what recovery equality
+                    # then proves). Steps are derived from the reference's
+                    # profile - identical to the durable's by induction -
+                    # so both services stay in lockstep.
+                    for step in _edit_steps(reference, user_id, action):
+                        try:
+                            step(durable)
+                        except ReproError:
+                            rejected_this_round += 1
+                            break
+                        step(reference)
+                        applied_this_round += 1
+                for _ in range(queries_per_round):
+                    user_id = rng.choice(user_ids)
+                    query = rng.choice(pool)
                     ranking_checks += 1
-                    if _signature(durable.query(user_id, query)) != _signature(
-                        reference.query(user_id, query)
-                    ):
+                    if ranking_pairs(
+                        durable.query(user_id, query)
+                    ) != ranking_pairs(reference.query(user_id, query)):
                         ranking_mismatches += 1
-            round_reports.append(
-                {
-                    "round": round_index,
-                    "plan": plan,
-                    "edits_applied": applied_this_round,
-                    "edits_rejected": rejected_this_round,
-                    "recovered_profiles": recovered,
-                    "expected_profiles": expected,
-                    "post_recovery_mismatches": ranking_mismatches
-                    - mismatch_before,
-                    "replayed_records": durable.last_recovery.replayed,
-                    "snapshot_lsn": durable.last_recovery.snapshot_lsn,
-                }
-            )
-        else:
-            round_reports.append(
-                {
-                    "round": round_index,
-                    "plan": plan,
-                    "edits_applied": applied_this_round,
-                    "edits_rejected": rejected_this_round,
-                }
-            )
+            edits_applied += applied_this_round
+            edits_rejected += rejected_this_round
 
-    recovered_totals = [
-        (entry["recovered_profiles"], entry["expected_profiles"])
-        for entry in round_reports
-        if "recovered_profiles" in entry
-    ]
-    recovery_rate = (
-        min(rec / exp for rec, exp in recovered_totals)
-        if recovered_totals
-        else 1.0
-    )
-    durable.close()
-    return {
-        "workload": {
-            "num_users": num_users,
-            "num_rows": num_rows,
-            "rounds": rounds,
-            "edits_per_round": edits_per_round,
-            "queries_per_round": queries_per_round,
-            "hydrated_budget": hydrated_budget,
-            "backend": backend,
-            "seed": seed,
-            "torn_writes": torn_writes,
-        },
-        "rounds": round_reports,
-        "restarts": restarts,
-        "torn_tails_repaired": torn_tails_repaired,
-        "edits_applied": edits_applied,
-        "edits_rejected": edits_rejected,
-        "recovery_rate": recovery_rate,
-        "ranking_checks": ranking_checks,
-        "ranking_mismatches": ranking_mismatches,
-        "identical_after_recovery": ranking_mismatches == 0
-        and recovery_rate == 1.0,
-    }
+            if plan["snapshot"]:
+                durable.snapshot(compact=True)
+            row: dict[str, object] = {
+                "round": round_index,
+                "plan": plan,
+                "edits_applied": applied_this_round,
+                "edits_rejected": rejected_this_round,
+            }
+            if plan["kill"]:
+                # Crash: drop the live service without any shutdown, then
+                # bring a new incarnation up from disk alone.
+                durable = None
+                store.flush()  # the OS-level state a real crash leaves
+                if torn_writes and backend == "jsonl":
+                    with open(root / "store" / "wal.jsonl", "a",
+                              encoding="utf-8") as handle:
+                        handle.write('{"lsn": 999999, "crc": 1, "data": {"op": "u')
+                store = _open_store(backend, root)
+                if getattr(store, "torn_bytes", 0):
+                    torn_tails_repaired += 1
+                durable = durable_service(store)
+                restarts += 1
+                recovered = len(durable)
+                expected = len(reference)
+                mismatch_before = ranking_mismatches
+                for user_id in user_ids:
+                    for query in pool:
+                        ranking_checks += 1
+                        if ranking_pairs(
+                            durable.query(user_id, query)
+                        ) != ranking_pairs(reference.query(user_id, query)):
+                            ranking_mismatches += 1
+                row.update(
+                    recovered_profiles=recovered,
+                    expected_profiles=expected,
+                    post_recovery_mismatches=ranking_mismatches - mismatch_before,
+                    replayed_records=durable.last_recovery.replayed,
+                    snapshot_lsn=durable.last_recovery.snapshot_lsn,
+                )
+            round_reports.append(row)
+
+        recovered_totals = [
+            (entry["recovered_profiles"], entry["expected_profiles"])
+            for entry in round_reports
+            if "recovered_profiles" in entry
+        ]
+        recovery_rate = (
+            min(rec / exp for rec, exp in recovered_totals)
+            if recovered_totals
+            else 1.0
+        )
+        durable.close()
+        return {
+            "workload": {
+                "num_users": num_users,
+                "num_rows": num_rows,
+                "rounds": rounds,
+                "edits_per_round": edits_per_round,
+                "queries_per_round": queries_per_round,
+                "hydrated_budget": hydrated_budget,
+                "backend": backend,
+                "seed": seed,
+                "torn_writes": torn_writes,
+            },
+            "rounds": round_reports,
+            "restarts": restarts,
+            "torn_tails_repaired": torn_tails_repaired,
+            "edits_applied": edits_applied,
+            "edits_rejected": edits_rejected,
+            "recovery_rate": recovery_rate,
+            "ranking_checks": ranking_checks,
+            "ranking_mismatches": ranking_mismatches,
+            "identical_after_recovery": ranking_mismatches == 0
+            and recovery_rate == 1.0,
+        }
 
 
 def _edit_steps(
@@ -387,162 +325,189 @@ def run_paging_bench(
     (must stay within ``hydrated_budget``) and ``recovery.complete``
     (every registered user present after recovery).
     """
-    import tempfile
-
-    cleanup = None
-    if root is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-paging-")
-        root = cleanup.name
-    root = Path(root)
-    try:
-        return _run_paging_bench(
-            num_users,
-            hydrated_budget,
-            num_queries,
-            zipf_a,
-            num_rows,
-            backend,
-            seed,
-            root,
-            register_batch,
-            measure_recovery,
-            edit_every,
-        )
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
-
-
-def _run_paging_bench(
-    num_users: int,
-    hydrated_budget: int,
-    num_queries: int,
-    zipf_a: float,
-    num_rows: int,
-    backend: str,
-    seed: int,
-    root: Path,
-    register_batch: int,
-    measure_recovery: bool,
-    edit_every: int,
-) -> dict[str, object]:
-    environment = study_environment()
-    relation = generate_poi_relation(num_rows, seed=seed)
-    personas = all_personas()
-    store = _open_store(backend, root)
-    service = PersonalizationService(
-        environment,
-        relation,
-        cache_capacity=8,
-        store=store,
-        hydrated_budget=hydrated_budget,
-    )
-
-    start = time.perf_counter()
-    registered = service.register_many(
-        (
-            (f"u{index:07d}", personas[index % len(personas)])
-            for index in range(num_users)
-        ),
-        batch_size=register_batch,
-    )
-    registration_seconds = time.perf_counter() - start
-
-    pool = [
-        ContextualQuery.at_state(state, top_k=5)
-        for state in _pool_states(environment)
-    ]
-    sampler = ZipfSampler(num_users, zipf_a, np.random.default_rng(seed))
-    ranks = sampler.sample_many(num_queries)
-    # A random per-user offset decorrelates zipf rank from registration
-    # order, so the hot set is spread across the id space.
-    shuffle = random.Random(f"paging:{seed}")
-    offset = shuffle.randrange(num_users)
-
-    peak_hydrated = 0
-    edits = 0
-    start = time.perf_counter()
-    for index, rank in enumerate(ranks):
-        user_id = f"u{(int(rank) + offset) % num_users:07d}"
-        service.query(user_id, pool[index % len(pool)])
-        if edit_every and index % edit_every == 0:
-            repository = service.account(user_id).repository
-            preference = next(iter(repository))
-            service.update_preference(
-                user_id,
-                preference,
-                round(0.05 + (preference.score * 100 + 17) % 90 / 100, 2),
-            )
-            edits += 1
-        stats = service.paging_statistics()
-        peak_hydrated = max(peak_hydrated, int(stats["hydrated"]))
-    query_seconds = time.perf_counter() - start
-    paging = service.paging_statistics()
-
-    start = time.perf_counter()
-    covered = service.snapshot(compact=True)
-    snapshot_seconds = time.perf_counter() - start
-
-    report: dict[str, object] = {
-        "workload": {
-            "num_users": num_users,
-            "hydrated_budget": hydrated_budget,
-            "num_queries": num_queries,
-            "zipf_a": zipf_a,
-            "num_rows": num_rows,
-            "backend": backend,
-            "seed": seed,
-        },
-        "registration": {
-            "users": registered,
-            "seconds": registration_seconds,
-            "users_per_second": (
-                registered / registration_seconds if registration_seconds else 0.0
-            ),
-        },
-        "queries": {
-            "count": num_queries,
-            "seconds": query_seconds,
-            "qps": num_queries / query_seconds if query_seconds else 0.0,
-            "unique_users_touched": int(paging["hydrations"]),
-            "edits": edits,
-        },
-        "paging": {
-            "peak_hydrated": peak_hydrated,
-            "hydrated_budget": hydrated_budget,
-            "within_budget": peak_hydrated <= hydrated_budget,
-            "hydrations": paging["hydrations"],
-            "evictions": paging["evictions"],
-            "final_hydrated": paging["hydrated"],
-            "overrides": paging["overrides"],
-        },
-        "snapshot": {"seconds": snapshot_seconds, "covered_lsn": covered},
-    }
-
-    if measure_recovery:
-        service.close()
-        service = None
+    with scratch_root(root, "repro-paging-") as root:
+        environment = study_environment()
+        relation = generate_poi_relation(num_rows, seed=seed)
+        personas = all_personas()
         store = _open_store(backend, root)
-        start = time.perf_counter()
-        recovered = PersonalizationService(
+        service = PersonalizationService(
             environment,
             relation,
             cache_capacity=8,
             store=store,
             hydrated_budget=hydrated_budget,
         )
-        recovery_seconds = time.perf_counter() - start
-        state = recovered.last_recovery
-        report["recovery"] = {
-            "seconds": recovery_seconds,
-            "users": state.users,
-            "overrides": len(state.overrides),
-            "replayed": state.replayed,
-            "snapshot_lsn": state.snapshot_lsn,
-            "torn_tail": state.torn_tail,
-            "complete": state.users == num_users,
+
+        start = time.perf_counter()
+        registered = service.register_many(
+            (
+                (f"u{index:07d}", personas[index % len(personas)])
+                for index in range(num_users)
+            ),
+            batch_size=register_batch,
+        )
+        registration_seconds = time.perf_counter() - start
+
+        pool = [
+            ContextualQuery.at_state(state, top_k=5)
+            for state in state_pool(environment, STRESS_POOL)
+        ]
+        sampler = ZipfSampler(num_users, zipf_a, np.random.default_rng(seed))
+        ranks = sampler.sample_many(num_queries)
+        # A random per-user offset decorrelates zipf rank from registration
+        # order, so the hot set is spread across the id space.
+        shuffle = random.Random(f"paging:{seed}")
+        offset = shuffle.randrange(num_users)
+
+        peak_hydrated = 0
+        edits = 0
+        start = time.perf_counter()
+        for index, rank in enumerate(ranks):
+            user_id = f"u{(int(rank) + offset) % num_users:07d}"
+            service.query(user_id, pool[index % len(pool)])
+            if edit_every and index % edit_every == 0:
+                repository = service.account(user_id).repository
+                preference = next(iter(repository))
+                service.update_preference(
+                    user_id,
+                    preference,
+                    round(0.05 + (preference.score * 100 + 17) % 90 / 100, 2),
+                )
+                edits += 1
+            stats = service.paging_statistics()
+            peak_hydrated = max(peak_hydrated, int(stats["hydrated"]))
+        query_seconds = time.perf_counter() - start
+        paging = service.paging_statistics()
+
+        start = time.perf_counter()
+        covered = service.snapshot(compact=True)
+        snapshot_seconds = time.perf_counter() - start
+
+        report: dict[str, object] = {
+            "workload": {
+                "num_users": num_users,
+                "hydrated_budget": hydrated_budget,
+                "num_queries": num_queries,
+                "zipf_a": zipf_a,
+                "num_rows": num_rows,
+                "backend": backend,
+                "seed": seed,
+            },
+            "registration": {
+                "users": registered,
+                "seconds": registration_seconds,
+                "users_per_second": (
+                    registered / registration_seconds
+                    if registration_seconds
+                    else 0.0
+                ),
+            },
+            "queries": {
+                "count": num_queries,
+                "seconds": query_seconds,
+                "qps": num_queries / query_seconds if query_seconds else 0.0,
+                "unique_users_touched": int(paging["hydrations"]),
+                "edits": edits,
+            },
+            "paging": {
+                "peak_hydrated": peak_hydrated,
+                "hydrated_budget": hydrated_budget,
+                "within_budget": peak_hydrated <= hydrated_budget,
+                "hydrations": paging["hydrations"],
+                "evictions": paging["evictions"],
+                "final_hydrated": paging["hydrated"],
+                "overrides": paging["overrides"],
+            },
+            "snapshot": {"seconds": snapshot_seconds, "covered_lsn": covered},
         }
-        recovered.close()
+
+        if measure_recovery:
+            service.close()
+            service = None
+            store = _open_store(backend, root)
+            start = time.perf_counter()
+            recovered = PersonalizationService(
+                environment,
+                relation,
+                cache_capacity=8,
+                store=store,
+                hydrated_budget=hydrated_budget,
+            )
+            recovery_seconds = time.perf_counter() - start
+            state = recovered.last_recovery
+            report["recovery"] = {
+                "seconds": recovery_seconds,
+                "users": state.users,
+                "overrides": len(state.overrides),
+                "replayed": state.replayed,
+                "snapshot_lsn": state.snapshot_lsn,
+                "torn_tail": state.torn_tail,
+                "complete": state.users == num_users,
+            }
+            recovered.close()
+        else:
+            service.close()
+        return report
+
+
+def format_report(
+    kill_restart: dict[str, dict], paging: dict | None = None
+) -> str:
+    """Kill/restart reports keyed by backend, and an optional
+    :func:`run_paging_bench` report, as one table."""
+    rows: list[list[object]] = []
+    for backend, kill in kill_restart.items():
+        rows += [
+            [f"{backend}: {label}", value]
+            for label, value in (
+                ("restarts", kill["restarts"]),
+                ("torn tails repaired", kill["torn_tails_repaired"]),
+                ("edits applied / rejected",
+                 f"{kill['edits_applied']} / {kill['edits_rejected']}"),
+                ("recovery rate", f"{kill['recovery_rate']:.2%}"),
+                ("ranking audit",
+                 f"{kill['ranking_mismatches']} mismatches / "
+                 f"{kill['ranking_checks']} checked"),
+                ("identical after recovery",
+                 "yes" if kill["identical_after_recovery"] else "NO"),
+            )
+        ]
+    if paging is not None:
+        registration = paging["registration"]
+        queries = paging["queries"]
+        pages = paging["paging"]
+        rows += [
+            ["registered users", registration["users"]],
+            ["registration", f"{registration['seconds']:.1f} s "
+                             f"({registration['users_per_second']:.0f} users/s)"],
+            ["queries", f"{queries['count']} ({queries['qps']:.0f} q/s)"],
+            ["profiles edited", queries["edits"]],
+            ["peak hydrated / budget",
+             f"{pages['peak_hydrated']} / {pages['hydrated_budget']}"],
+            ["hydrations / evictions",
+             f"{pages['hydrations']} / {pages['evictions']}"],
+            ["snapshot", f"{paging['snapshot']['seconds']:.1f} s "
+                         f"(lsn {paging['snapshot']['covered_lsn']})"],
+        ]
+        recovery = paging.get("recovery")
+        if recovery is not None:
+            rows += [
+                ["cold recovery",
+                 f"{recovery['seconds']:.1f} s, {recovery['users']} users, "
+                 f"{recovery['overrides']} overrides"],
+                ["recovery complete", "yes" if recovery["complete"] else "NO"],
+            ]
+    if kill_restart:
+        workload = next(iter(kill_restart.values()))["workload"]
+        title = (
+            f"Persistence run - {workload['rounds']} rounds, "
+            f"{'/'.join(kill_restart)} backend, seed {workload['seed']}, "
+            f"{workload['num_users']} users"
+        )
     else:
-        service.close()
-    return report
+        workload = paging["workload"]
+        title = (
+            f"Persistence run - {workload['num_users']} paged users, "
+            f"{workload['backend']} backend, seed {workload['seed']}"
+        )
+    return format_table(["metric", "value"], rows, title=title)

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 
 from repro.eval.accesses import fig7_real_profile, fig7_synthetic
 from repro.eval.sizes import fig5_real_profile, fig6_size_sweep, fig6_skew_sweep
-from repro.eval.usability import run_usability_study
+from repro.eval.usability import run_usability_study, table1_rows
 
 __all__ = ["generate_report"]
 
@@ -58,19 +58,7 @@ def generate_report(quick: bool = False, seed: int = 17) -> str:
     # ------------------------------------------------------------ Table 1
     study = run_usability_study()
     sections.append("## Table 1 - usability study (simulated users)")
-    sections.append(
-        _md_table(
-            ["", *[f"User {row.user_id}" for row in study.rows]],
-            [
-                ["Num of updates", *[row.num_updates for row in study.rows]],
-                ["Update time (mins)", *[row.update_time_minutes for row in study.rows]],
-                ["Exact match", *[f"{row.exact_match_pct:.0f}%" for row in study.rows]],
-                ["1 cover state", *[f"{row.one_cover_pct:.0f}%" for row in study.rows]],
-                ["Hierarchy", *[f"{row.multi_cover_hierarchy_pct:.0f}%" for row in study.rows]],
-                ["Jaccard", *[f"{row.multi_cover_jaccard_pct:.0f}%" for row in study.rows]],
-            ],
-        )
-    )
+    sections.append(_md_table(*table1_rows(study)))
     sections.append(
         "\n".join(
             [

@@ -34,43 +34,13 @@ from collections.abc import Sequence
 
 from repro.concurrency.executor import ConcurrentQueryExecutor
 from repro.concurrency.locks import Mutex
-from repro.db.poi import generate_poi_relation
+from repro.eval.harness import TOP_K, build_service, request_stream, state_pool
+from repro.eval.reporting import format_table
 from repro.query.contextual_query import ContextualQuery
 from repro.service.personalization import PersonalizationService
-from repro.workloads.streams import query_stream
-from repro.workloads.users import all_personas, study_environment
+from repro.sharding.worker import ranking_pairs
 
-__all__ = ["run_serve_bench"]
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "hot", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia", "Syntagma")
-
-
-def _state_pool(environment):
-    from repro.context.state import ContextState
-
-    return [
-        ContextState.from_mapping(
-            environment,
-            {
-                "accompanying_people": people,
-                "temperature": temperature,
-                "location": location,
-            },
-        )
-        for people in _POOL_PEOPLE
-        for temperature in _POOL_TEMPERATURES
-        for location in _POOL_LOCATIONS
-    ]
-
-
-def _ranking_signature(result) -> tuple:
-    """A comparable fingerprint of one ranked result set."""
-    return tuple(
-        (item.row.get("pid", id(item.row)), round(item.score, 12))
-        for item in result.results
-    )
+__all__ = ["format_report", "run_serve_bench"]
 
 
 def run_serve_bench(
@@ -112,29 +82,21 @@ def run_serve_bench(
         raise ValueError("thread_counts must be positive integers")
     io_wait = max(0.0, io_wait_ms) / 1000.0
 
-    environment = study_environment()
-    relation = generate_poi_relation(num_rows, seed=seed)
-    service = PersonalizationService(
-        environment, relation, cache_capacity=cache_capacity
+    service = build_service(
+        num_users, num_rows, seed, cache_capacity=cache_capacity
     )
-    personas = all_personas()
-    user_ids = [f"user{index}" for index in range(num_users)]
-    for index, user_id in enumerate(user_ids):
-        service.register(user_id, personas[index % len(personas)])
-
-    pool = _state_pool(environment)
-    states = list(
-        query_stream(pool, num_queries, seed=seed, zipf_a=zipf_a, locality=locality)
-    )
+    pool = state_pool(service.environment)
     requests = [
-        (user_ids[index % num_users], ContextualQuery.at_state(state, top_k=10))
-        for index, state in enumerate(states)
+        (user_id, ContextualQuery.at_state(state, top_k=TOP_K))
+        for user_id, state in request_stream(
+            pool, num_users, num_queries, seed, zipf_a, locality
+        )
     ]
 
     # 1. Sequential warm-up + reference rankings.
     warm_started = time.perf_counter()
     reference = [
-        _ranking_signature(service.query(user_id, query))
+        ranking_pairs(service.query(user_id, query))
         for user_id, query in requests
     ]
     warm_seconds = time.perf_counter() - warm_started
@@ -158,7 +120,7 @@ def run_serve_bench(
             outcomes = executor.run(callables)
             elapsed = time.perf_counter() - started
         for outcome, expected in zip(outcomes, reference):
-            if not outcome.ok or _ranking_signature(outcome.result) != expected:
+            if not outcome.ok or ranking_pairs(outcome.result) != expected:
                 identical = False
         qps = len(requests) / elapsed if elapsed > 0 else float("inf")
         if base_qps is None:
@@ -262,3 +224,36 @@ def _run_churn_phase(
         "lost_updates": lost_updates,
         "errors": errors[:5],
     }
+
+
+def format_report(report: dict) -> str:
+    """The :func:`run_serve_bench` report as a throughput table."""
+    rows: list[list[object]] = [
+        [
+            f"{count} thread{'s' if int(count) != 1 else ''}",
+            f"{series['qps']:.0f} q/s",
+            f"{series['speedup']:.2f}x",
+        ]
+        for count, series in report["series"].items()
+    ]
+    churn = report["churn"]
+    rows.extend(
+        [
+            ["identical output", "yes" if report["identical_output"] else "NO"],
+            [
+                "churn phase",
+                f"{churn['queries']} queries vs {churn['num_writers']} writers",
+                f"{churn['failed_requests']} failed / {churn['lost_updates']} lost",
+            ],
+        ]
+    )
+    workload = report["workload"]
+    return format_table(
+        ["threads", "throughput", "speedup"],
+        rows,
+        title=(
+            f"Concurrent serving - {workload['num_users']} users, "
+            f"{workload['num_rows']} rows, {workload['num_queries']} queries, "
+            f"io_wait {workload['io_wait_ms']:.1f} ms"
+        ),
+    )

@@ -37,46 +37,22 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.context.state import ContextState
-from repro.db.poi import generate_poi_relation
+from repro.eval.harness import (
+    TOP_K,
+    build_service,
+    population,
+    replies_match,
+    request_stream,
+    state_pool,
+)
+from repro.eval.reporting import format_table
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.query.contextual_query import ContextualQuery
-from repro.service.personalization import PersonalizationService
 from repro.sharding.router import ShardRouter
 from repro.sharding.worker import ranking_pairs
-from repro.workloads.streams import query_stream
-from repro.workloads.users import Persona, all_personas, study_environment
+from repro.workloads.users import study_environment
 
-__all__ = ["run_shard_bench"]
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "hot", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia", "Syntagma")
-
-_TOP_K = 10
-
-
-def _state_pool(environment) -> list[ContextState]:
-    return [
-        ContextState.from_mapping(
-            environment,
-            {
-                "accompanying_people": people,
-                "temperature": temperature,
-                "location": location,
-            },
-        )
-        for people in _POOL_PEOPLE
-        for temperature in _POOL_TEMPERATURES
-        for location in _POOL_LOCATIONS
-    ]
-
-
-def _population(num_users: int) -> list[tuple[str, Persona]]:
-    personas = all_personas()
-    return [
-        (f"user{index}", personas[index % len(personas)])
-        for index in range(num_users)
-    ]
+__all__ = ["format_report", "run_shard_bench"]
 
 
 def _single_process_reference(
@@ -94,15 +70,11 @@ def _single_process_reference(
     *second* pass - the first pass warms the per-user caches, matching
     the warmed runs the router counts are measured on.
     """
-    environment = study_environment()
-    relation = generate_poi_relation(num_rows, seed=seed)
-    service = PersonalizationService(
-        environment, relation, cache_capacity=cache_capacity
+    service = build_service(
+        num_users, num_rows, seed, cache_capacity=cache_capacity
     )
-    for user_id, persona in _population(num_users):
-        service.register(user_id, persona)
     queries = [
-        (user_id, ContextualQuery.at_state(state, top_k=_TOP_K))
+        (user_id, ContextualQuery.at_state(state, top_k=TOP_K))
         for user_id, state in requests
     ]
     for user_id, query in queries:  # warm-up pass (untimed)
@@ -134,7 +106,7 @@ def run_shard_bench(
 ) -> dict[str, object]:
     """Measure sharded throughput scaling and verify result identity.
 
-    Builds the deterministic POI workload of :mod:`repro.eval.serving`
+    Builds the deterministic POI workload of :mod:`repro.eval.harness`
     (popularity skew ``zipf_a``, temporal ``locality``), then:
 
     1. runs the request set on a plain single-process service (warmed,
@@ -158,16 +130,8 @@ def run_shard_bench(
         raise ValueError("worker_counts must be positive integers")
     io_wait = max(0.0, io_wait_ms) / 1000.0
 
-    environment = study_environment()
-    pool = _state_pool(environment)
-    states = list(
-        query_stream(pool, num_queries, seed=seed, zipf_a=zipf_a, locality=locality)
-    )
-    requests = [
-        (f"user{index % num_users}", state)
-        for index, state in enumerate(states)
-    ]
-    population = _population(num_users)
+    pool = state_pool(study_environment())
+    requests = request_stream(pool, num_users, num_queries, seed, zipf_a, locality)
 
     reference, baseline_seconds = _single_process_reference(
         num_users, num_rows, cache_capacity, io_wait, requests, seed
@@ -180,7 +144,7 @@ def run_shard_bench(
     identical = True
     chaos_report: dict[str, object] = {"enabled": False}
     top_count = worker_counts[-1]
-    batch = [(user_id, state, _TOP_K) for user_id, state in requests]
+    batch = [(user_id, state, TOP_K) for user_id, state in requests]
 
     for count in worker_counts:
         with tempfile.TemporaryDirectory(dir=wal_root) as shard_wal:
@@ -193,15 +157,12 @@ def run_shard_bench(
                 io_wait_ms=io_wait_ms,
                 worker_threads=worker_threads,
             ) as router:
-                router.register_many(population)
+                router.register_many(population(num_users))
                 router.query_many(batch)  # warm-up pass (untimed)
                 started = time.perf_counter()
                 replies = router.query_many(batch)
                 elapsed = time.perf_counter() - started
-                count_identical = all(
-                    reply["ok"] and reply["ranking"] == expected
-                    for reply, expected in zip(replies, reference)
-                )
+                count_identical = replies_match(replies, reference)
                 identical = identical and count_identical
                 qps = len(batch) / elapsed if elapsed > 0 else float("inf")
                 series[str(count)] = {
@@ -229,7 +190,7 @@ def run_shard_bench(
             "zipf_a": zipf_a,
             "seed": seed,
             "pool_states": len(pool),
-            "top_k": _TOP_K,
+            "top_k": TOP_K,
         },
         "single_process": {
             "seconds": baseline_seconds,
@@ -258,10 +219,7 @@ def _run_chaos_round(
         replies = router.query_many(batch)
     failed = sum(1 for reply in replies if not reply["ok"])
     duplicates = sum(1 for reply in replies if reply.get("duplicate"))
-    identical_after = all(
-        reply["ok"] and reply["ranking"] == expected
-        for reply, expected in zip(replies, reference)
-    )
+    identical_after = replies_match(replies, reference)
     health = router.check_health()
     return {
         "enabled": True,
@@ -279,3 +237,41 @@ def _run_chaos_round(
             for name, row in health.items()
         },
     }
+
+
+def format_report(report: dict) -> str:
+    """The :func:`run_shard_bench` report as a throughput table."""
+    rows: list[list[object]] = [
+        [
+            f"{count} worker{'s' if int(count) != 1 else ''}",
+            f"{series['qps']:.0f} q/s",
+            f"{series['speedup']:.2f}x",
+        ]
+        for count, series in report["series"].items()
+    ]
+    rows.append(
+        ["identical output", "yes" if report["identical_output"] else "NO", ""]
+    )
+    chaos = report["chaos"]
+    if chaos.get("enabled"):
+        rows.append(
+            [
+                "chaos round",
+                f"{chaos['worker_deaths']} killed / "
+                f"{chaos['rebalances']} rebalances / "
+                f"{chaos['failed_requests']} failed",
+                "identical"
+                if chaos["identical_after_rebalance"]
+                else "DIVERGED",
+            ]
+        )
+    workload = report["workload"]
+    return format_table(
+        ["workers", "throughput", "speedup"],
+        rows,
+        title=(
+            f"Sharded serving - {workload['num_users']} users, "
+            f"{workload['num_rows']} rows, {workload['num_queries']} queries, "
+            f"io_wait {workload['io_wait_ms']:.1f} ms"
+        ),
+    )

@@ -27,6 +27,7 @@ import numpy as np
 from repro.context.state import ContextState
 from repro.db.poi import generate_poi_relation
 from repro.db.relation import Relation
+from repro.eval.reporting import format_table
 from repro.query.contextual_query import ContextualQuery
 from repro.query.executor import ContextualQueryExecutor
 from repro.resolution.resolver import minimal_covering
@@ -39,7 +40,14 @@ from repro.workloads.users import (
     study_environment,
 )
 
-__all__ = ["UserStudyRow", "UsabilityStudy", "classify_states", "run_usability_study"]
+__all__ = [
+    "UserStudyRow",
+    "UsabilityStudy",
+    "classify_states",
+    "format_report",
+    "run_usability_study",
+    "table1_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -209,3 +217,22 @@ def run_usability_study(
             )
         )
     return UsabilityStudy(rows=tuple(rows))
+
+
+def table1_rows(study: UsabilityStudy) -> tuple[list[str], list[list[object]]]:
+    """Table 1's header and rows, one column per user, as the paper
+    prints them."""
+    rows = study.rows
+    return ["", *[f"User {row.user_id}" for row in rows]], [
+        ["Num of updates", *[row.num_updates for row in rows]],
+        ["Update time (mins)", *[row.update_time_minutes for row in rows]],
+        ["Exact match", *[f"{row.exact_match_pct:.0f}%" for row in rows]],
+        ["1 cover state", *[f"{row.one_cover_pct:.0f}%" for row in rows]],
+        ["Hierarchy", *[f"{row.multi_cover_hierarchy_pct:.0f}%" for row in rows]],
+        ["Jaccard", *[f"{row.multi_cover_jaccard_pct:.0f}%" for row in rows]],
+    ]
+
+
+def format_report(study: UsabilityStudy) -> str:
+    """Table 1 as a plain-text table."""
+    return format_table(*table1_rows(study), title="Table 1. User Study Results")

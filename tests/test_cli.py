@@ -178,6 +178,39 @@ class TestCommands:
         assert payload.get("baseline") is None
         assert json.loads(target.read_text()) == payload
 
+    def test_serve_bench_json(self, capsys):
+        import json
+
+        assert main(["serve-bench", "--users", "2", "--rows", "80",
+                     "--queries", "6", "--threads", "1", "2",
+                     "--io-wait-ms", "0", "--writers", "1",
+                     "--edits-per-writer", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["workload"]["num_queries"] == 6
+        assert sorted(payload["series"]) == ["1", "2"]
+        assert payload["identical_output"] is True
+
+    def test_serve_bench_table(self, capsys):
+        assert main(["serve-bench", "--users", "2", "--rows", "80",
+                     "--queries", "6", "--threads", "1", "--io-wait-ms", "0",
+                     "--writers", "1", "--edits-per-writer", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "Concurrent serving" in out
+        assert "identical output" in out and "yes" in out
+        assert "0 failed / 0 lost" in out
+
+    def test_shard_bench_json_and_output(self, capsys, tmp_path):
+        import json
+
+        target = tmp_path / "shard.json"
+        assert main(["shard-bench", "--users", "2", "--rows", "80",
+                     "--queries", "6", "--workers", "1", "--io-wait-ms", "0",
+                     "--no-chaos", "--json", "--output", str(target)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["identical_output"] is True
+        assert payload["chaos"] == {"enabled": False}
+        assert json.loads(target.read_text()) == payload
+
     def test_persistence_table(self, capsys):
         assert main(["persistence", "--users", "2", "--rows", "60",
                      "--rounds", "2", "--edits-per-round", "2",
